@@ -1,8 +1,7 @@
 package repro.baselines
 
-import repro.core.BitPacking
-import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
-import scala.collection.mutable
+import repro.core.{BitPacking, ByteReader, ByteWriter, CorruptBatchException, ValueIndex}
+import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** CLA (§5 "Compared Methods" #5, [Elgohary et al., VLDB'16]) — our
   * reimplementation of compressed linear algebra's column-group scheme.
@@ -19,12 +18,18 @@ import scala.collection.mutable
   * correlated columns and has OLE/RLE group types; single-column DDC+UC
   * preserves the size and runtime *shape* on mini-batches without the
   * planner machinery.
+  *
+  * Layout: `int32 numRows | int32 numCols`, then per column in order an
+  * int32 DDC dictionary length, 0 for a UC column, followed by the UC
+  * column's `numRows` float64s or the DDC dictionary's float64s and
+  * `pack(codes)`.
   */
-sealed trait ClaGroup extends Serializable {
+sealed trait ClaGroup {
   def col: Int
   def sizeBytes: Long
   def valueAt(row: Int): Double
   def scaled(c: Double): ClaGroup
+  def writeTo(w: ByteWriter): Unit
 }
 
 /** Dense dictionary-coded column. */
@@ -32,6 +37,7 @@ final case class DdcGroup(col: Int, dict: Array[Double], codes: Array[Int]) exte
   def sizeBytes: Long = 4L + 8L * dict.length + BitPacking.packedSize(codes)
   @inline def valueAt(row: Int): Double = dict(codes(row))
   def scaled(c: Double): DdcGroup = DdcGroup(col, dict.map(_ * c), codes)
+  def writeTo(w: ByteWriter): Unit = w.int(dict.length).doubles(dict).packed(codes)
 }
 
 /** Uncompressed column fallback. */
@@ -39,12 +45,20 @@ final case class UcGroup(col: Int, values: Array[Double]) extends ClaGroup {
   def sizeBytes: Long = 4L + 8L * values.length
   @inline def valueAt(row: Int): Double = values(row)
   def scaled(c: Double): UcGroup = UcGroup(col, values.map(_ * c))
+  def writeTo(w: ByteWriter): Unit = w.int(0).doubles(values)
 }
 
+/** `groups(j)` is column `j`'s group. */
 final class ClaMatrix(val numRows: Int, val numCols: Int, val groups: Array[ClaGroup])
-    extends CompressedMatrix {
+    extends EncodedMatrix {
 
   def sizeBytes: Long = 8L + groups.map(_.sizeBytes).sum
+  def encoder: MatrixEncoder = ClaEncoder
+  def toBytes: Array[Byte] = {
+    val w = new ByteWriter(sizeBytes).int(numRows).int(numCols)
+    groups.foreach(_.writeTo(w))
+    w.result
+  }
 
   def timesVector(v: Array[Double]): Array[Double] = {
     require(v.length == numCols)
@@ -138,23 +152,28 @@ object ClaEncoder extends MatrixEncoder {
 
   def encode(batch: DenseMatrix): ClaMatrix = {
     val groups = Array.tabulate[ClaGroup](batch.cols) { j =>
-      val colVals = batch.col(j)
-      val dictIndex = mutable.LinkedHashMap.empty[Double, Int]
-      var i = 0
-      var abort = false
+      val uc = UcGroup(j, batch.col(j))
+      val (dict, codes) = ValueIndex(uc.values)
+      val ddc = DdcGroup(j, dict, codes)
       // DDC pays off only while the dictionary stays small relative to rows.
-      while (i < colVals.length && !abort) {
-        dictIndex.getOrElseUpdate(colVals(i), dictIndex.size)
-        if (dictIndex.size > math.max(1, colVals.length / 2)) abort = true
-        i += 1
-      }
-      if (abort) UcGroup(j, colVals)
-      else {
-        val codes = colVals.map(dictIndex(_))
-        val ddc = DdcGroup(j, dictIndex.keys.toArray, codes)
-        if (ddc.sizeBytes < UcGroup(j, colVals).sizeBytes) ddc else UcGroup(j, colVals)
-      }
+      if (dict.length <= math.max(1, batch.rows / 2) && ddc.sizeBytes < uc.sizeBytes) ddc else uc
     }
     new ClaMatrix(batch.rows, batch.cols, groups)
+  }
+
+  def fromBytes(bytes: Array[Byte]): ClaMatrix = {
+    val r = new ByteReader(bytes)
+    val rows = r.count(); val cols = r.count(4)
+    val groups = Array.tabulate[ClaGroup](cols) { j =>
+      val dictLen = r.count(8)
+      if (dictLen == 0) UcGroup(j, r.doubles(rows))
+      else {
+        val group = DdcGroup(j, r.doubles(dictLen), r.packed(dictLen - 1))
+        CorruptBatchException.check(group.codes.length == rows, s"CLA column $j: ${group.codes.length} codes")
+        group
+      }
+    }
+    r.end()
+    new ClaMatrix(rows, cols, groups)
   }
 }

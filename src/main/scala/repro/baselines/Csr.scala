@@ -1,9 +1,13 @@
 package repro.baselines
 
-import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
+import repro.core.{ByteReader, ByteWriter}
+import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** CSR (§5 "Compared Methods" #2): compressed sparse row — per row only
   * the non-zero values (float64) and their column indexes (int32).
+  *
+  * Layout: `int32 numRows | int32 numCols | rowPtr int32s | colIdx int32s
+  * | values float64s`.
   */
 final class CsrMatrix(
     val numRows: Int,
@@ -11,9 +15,12 @@ final class CsrMatrix(
     val values: Array[Double],
     val colIdx: Array[Int],
     val rowPtr: Array[Int] // length numRows + 1
-) extends CompressedMatrix {
+) extends EncodedMatrix {
 
   def sizeBytes: Long = 8L + 8L * values.length + 4L * colIdx.length + 4L * rowPtr.length
+  def encoder: MatrixEncoder = CsrEncoder
+  def toBytes: Array[Byte] =
+    new ByteWriter(sizeBytes).int(numRows).int(numCols).ints(rowPtr).ints(colIdx).doubles(values).result
 
   def timesVector(v: Array[Double]): Array[Double] = {
     require(v.length == numCols)
@@ -108,12 +115,28 @@ object CsrEncoder extends MatrixEncoder {
       var j = 0
       while (j < batch.cols) {
         val x = batch(i, j)
-        if (x != 0.0) { values += x; colIdx += j; nnz += 1 }
+        if (java.lang.Double.doubleToRawLongBits(x) != 0L) { values += x; colIdx += j; nnz += 1 }
         j += 1
       }
       i += 1
     }
     rowPtr(batch.rows) = nnz
     new CsrMatrix(batch.rows, batch.cols, values.result(), colIdx.result(), rowPtr)
+  }
+
+  def fromBytes(bytes: Array[Byte]): CsrMatrix = {
+    val r = new ByteReader(bytes)
+    val rows = r.count(); val cols = r.count()
+    val (rowPtr, colIdx) = readIndex(r, rows, cols)
+    val values = r.doubles(colIdx.length)
+    r.end()
+    new CsrMatrix(rows, cols, values, colIdx, rowPtr)
+  }
+
+  /** The `rowPtr` and `colIdx` of CSR's layout, which CVI shares. */
+  private[baselines] def readIndex(r: ByteReader, rows: Int, cols: Int): (Array[Int], Array[Int]) = {
+    val rowPtr = r.ints(rows + 1L)
+    ByteReader.checkOffsets(rowPtr, "rowPtr")
+    (rowPtr, r.ints(rowPtr(rows), cols - 1))
   }
 }

@@ -1,12 +1,14 @@
 package repro.baselines
 
-import repro.core.BitPacking
-import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
-import scala.collection.mutable
+import repro.core.{BitPacking, ByteReader, ByteWriter, CorruptBatchException, ValueIndex}
+import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** CVI / CSR-VI (§5 "Compared Methods" #3, [Kourtis et al.]): CSR whose
   * non-zero values are dictionary-coded (value indexing, §3.2) with
   * bit-packed value indexes. Ops resolve values through the dictionary.
+  *
+  * Layout: `int32 numRows | int32 numCols | rowPtr int32s | colIdx int32s
+  * | int32 dictLen | dict float64s | pack(valIdx)`.
   */
 final class CviMatrix(
     val numRows: Int,
@@ -15,11 +17,15 @@ final class CviMatrix(
     val valIdx: Array[Int],  // per-nonzero dictionary index
     val colIdx: Array[Int],
     val rowPtr: Array[Int]
-) extends CompressedMatrix {
+) extends EncodedMatrix {
 
   def sizeBytes: Long =
-    8L + 8L * dict.length + BitPacking.packedSize(valIdx) +
+    12L + 8L * dict.length + BitPacking.packedSize(valIdx) +
       4L * colIdx.length + 4L * rowPtr.length
+  def encoder: MatrixEncoder = CviEncoder
+  def toBytes: Array[Byte] =
+    new ByteWriter(sizeBytes).int(numRows).int(numCols).ints(rowPtr).ints(colIdx)
+      .int(dict.length).doubles(dict).packed(valIdx).result
 
   @inline private def value(k: Int): Double = dict(valIdx(k))
 
@@ -110,8 +116,18 @@ object CviEncoder extends MatrixEncoder {
   val name = "CVI"
   def encode(batch: DenseMatrix): CviMatrix = {
     val csr = CsrEncoder.encode(batch)
-    val dictIndex = mutable.LinkedHashMap.empty[Double, Int]
-    val valIdx = csr.values.map(v => dictIndex.getOrElseUpdate(v, dictIndex.size))
-    new CviMatrix(csr.numRows, csr.numCols, dictIndex.keys.toArray, valIdx, csr.colIdx, csr.rowPtr)
+    val (dict, valIdx) = ValueIndex(csr.values)
+    new CviMatrix(csr.numRows, csr.numCols, dict, valIdx, csr.colIdx, csr.rowPtr)
+  }
+
+  def fromBytes(bytes: Array[Byte]): CviMatrix = {
+    val r = new ByteReader(bytes)
+    val rows = r.count(); val cols = r.count()
+    val (rowPtr, colIdx) = CsrEncoder.readIndex(r, rows, cols)
+    val dict = r.doubles(r.count())
+    val valIdx = r.packed(dict.length - 1)
+    r.end()
+    CorruptBatchException.check(valIdx.length == colIdx.length, "CVI: valIdx and colIdx lengths differ")
+    new CviMatrix(rows, cols, dict, valIdx, colIdx, rowPtr)
   }
 }

@@ -1,20 +1,25 @@
 package repro.baselines
 
-import repro.core.BitPacking
-import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
-import scala.collection.mutable
+import repro.core.{BitPacking, ByteReader, ByteWriter, CorruptBatchException, ValueIndex}
+import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** DVI (§5 "Compared Methods" #4): the dense layout with value indexing —
   * every cell (zeros included) is a bit-packed dictionary index.
+  *
+  * Layout: `int32 numRows | int32 numCols | int32 dictLen | dict float64s
+  * | pack(cells)`.
   */
 final class DviMatrix(
     val numRows: Int,
     val numCols: Int,
     val dict: Array[Double],
     val cells: Array[Int]  // row-major dictionary index per cell
-) extends CompressedMatrix {
+) extends EncodedMatrix {
 
-  def sizeBytes: Long = 8L + 8L * dict.length + BitPacking.packedSize(cells)
+  def sizeBytes: Long = 12L + 8L * dict.length + BitPacking.packedSize(cells)
+  def encoder: MatrixEncoder = DviEncoder
+  def toBytes: Array[Byte] =
+    new ByteWriter(sizeBytes).int(numRows).int(numCols).int(dict.length).doubles(dict).packed(cells).result
 
   @inline private def value(i: Int, j: Int): Double = dict(cells(i * numCols + j))
 
@@ -87,8 +92,17 @@ final class DviMatrix(
 object DviEncoder extends MatrixEncoder {
   val name = "DVI"
   def encode(batch: DenseMatrix): DviMatrix = {
-    val dictIndex = mutable.LinkedHashMap.empty[Double, Int]
-    val cells = batch.data.map(v => dictIndex.getOrElseUpdate(v, dictIndex.size))
-    new DviMatrix(batch.rows, batch.cols, dictIndex.keys.toArray, cells)
+    val (dict, cells) = ValueIndex(batch.data)
+    new DviMatrix(batch.rows, batch.cols, dict, cells)
+  }
+
+  def fromBytes(bytes: Array[Byte]): DviMatrix = {
+    val r = new ByteReader(bytes)
+    val rows = r.count(); val cols = r.count()
+    val dict = r.doubles(r.count())
+    val cells = r.packed(dict.length - 1)
+    r.end()
+    CorruptBatchException.check(cells.length == rows.toLong * cols, "DVI: cell count is not rows x cols")
+    new DviMatrix(rows, cols, dict, cells)
   }
 }

@@ -1,10 +1,10 @@
 package repro.baselines
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import java.nio.{ByteBuffer, ByteOrder}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, IOException}
 import java.util.zip.{GZIPInputStream, GZIPOutputStream}
 import org.xerial.snappy.Snappy
-import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
+import repro.core.{ByteReader, ByteWriter, CorruptBatchException}
+import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** The general compression schemes of §5 (methods #6 and #7): Gzip and
   * Snappy over the serialized DEN bytes. Per Figure 1B, *every* matrix
@@ -12,25 +12,28 @@ import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
   * overhead is exactly what the paper charges these methods with, so each
   * op here decodes and delegates to the dense kernels (and `A.*c`
   * re-compresses to stay in the compressed representation).
+  *
+  * Layout: `int32 numRows | int32 numCols | compressed DEN payload`. The
+  * payload is checked when it is decompressed, which every op does.
   */
 abstract class GeneralCompressedMatrix(
+    val encoder: GeneralCompression,
     val numRows: Int,
     val numCols: Int,
     val compressed: Array[Byte]
-) extends CompressedMatrix {
-
-  protected def decompress(bytes: Array[Byte]): Array[Byte]
-  protected def compress(bytes: Array[Byte]): Array[Byte]
-  protected def rebuild(rows: Int, cols: Int, compressed: Array[Byte]): GeneralCompressedMatrix
+) extends EncodedMatrix {
 
   def sizeBytes: Long = 8L + compressed.length
+  def toBytes: Array[Byte] = new ByteWriter(sizeBytes).int(numRows).int(numCols).bytes(compressed).result
 
   def decode: DenseMatrix = {
-    val raw = decompress(compressed)
-    val buf = ByteBuffer.wrap(raw).order(ByteOrder.LITTLE_ENDIAN)
-    val data = new Array[Double](numRows * numCols)
-    var i = 0
-    while (i < data.length) { data(i) = buf.getDouble(); i += 1 }
+    val n = numRows * numCols
+    val raw =
+      try encoder.decompress(compressed, 8 * n)
+      catch { case e: IOException => throw new CorruptBatchException(s"${encoder.name} payload: $e") }
+    val r = new ByteReader(raw)
+    val data = r.doubles(n)
+    r.end()
     new DenseMatrix(numRows, numCols, data)
   }
 
@@ -38,54 +41,62 @@ abstract class GeneralCompressedMatrix(
   def vectorTimes(v: Array[Double]): Array[Double] = decode.vectorTimes(v)
   def timesMatrix(m: DenseMatrix): DenseMatrix = decode.timesMatrix(m)
   def leftTimes(m: DenseMatrix): DenseMatrix = decode.leftTimes(m)
-
-  def timesScalar(c: Double): CompressedMatrix = {
-    val scaled = decode.timesScalar(c)
-    rebuild(numRows, numCols, compress(GeneralCompressedMatrix.serializeDen(scaled)))
-  }
+  def timesScalar(c: Double): GeneralCompressedMatrix = encoder.encode(decode.timesScalar(c))
 }
 
 object GeneralCompressedMatrix {
   /** Row-major little-endian float64 serialization of DEN. */
-  def serializeDen(m: DenseMatrix): Array[Byte] = {
-    val buf = ByteBuffer.allocate(8 * m.data.length).order(ByteOrder.LITTLE_ENDIAN)
-    m.data.foreach(buf.putDouble)
-    buf.array()
+  def serializeDen(m: DenseMatrix): Array[Byte] = new ByteWriter(8L * m.data.length).doubles(m.data).result
+}
+
+/** A general compression scheme applied to DEN's float64 payload. */
+abstract class GeneralCompression extends MatrixEncoder {
+  def compress(bytes: Array[Byte]): Array[Byte]
+
+  /** Decompresses to at most `length` + 1 bytes. */
+  def decompress(bytes: Array[Byte], length: Int): Array[Byte]
+
+  protected def wrap(rows: Int, cols: Int, compressed: Array[Byte]): GeneralCompressedMatrix
+
+  def encode(batch: DenseMatrix): GeneralCompressedMatrix =
+    wrap(batch.rows, batch.cols, compress(GeneralCompressedMatrix.serializeDen(batch)))
+
+  def fromBytes(bytes: Array[Byte]): GeneralCompressedMatrix = {
+    val r = new ByteReader(bytes)
+    val rows = r.count(); val cols = r.count()
+    CorruptBatchException.check(rows.toLong * cols <= Int.MaxValue / 8, s"$rows x $cols does not fit an array")
+    wrap(rows, cols, r.rest())
   }
 }
 
 final class GzipMatrix(rows: Int, cols: Int, bytes: Array[Byte])
-    extends GeneralCompressedMatrix(rows, cols, bytes) {
-  protected def decompress(b: Array[Byte]): Array[Byte] = {
-    val in = new GZIPInputStream(new ByteArrayInputStream(b))
-    try in.readAllBytes() finally in.close()
-  }
-  protected def compress(b: Array[Byte]): Array[Byte] = GzipEncoder.gzip(b)
-  protected def rebuild(r: Int, c: Int, b: Array[Byte]): GzipMatrix = new GzipMatrix(r, c, b)
-}
+    extends GeneralCompressedMatrix(GzipEncoder, rows, cols, bytes)
 
-object GzipEncoder extends MatrixEncoder {
+object GzipEncoder extends GeneralCompression {
   val name = "Gzip"
-  private[baselines] def gzip(bytes: Array[Byte]): Array[Byte] = {
+  def compress(bytes: Array[Byte]): Array[Byte] = {
     val bos = new ByteArrayOutputStream()
     val out = new GZIPOutputStream(bos)
     out.write(bytes); out.close()
     bos.toByteArray
   }
-  def encode(batch: DenseMatrix): GzipMatrix =
-    new GzipMatrix(batch.rows, batch.cols, gzip(GeneralCompressedMatrix.serializeDen(batch)))
+  def decompress(bytes: Array[Byte], length: Int): Array[Byte] = {
+    val in = new GZIPInputStream(new ByteArrayInputStream(bytes))
+    try in.readNBytes(length + 1) finally in.close()
+  }
+  protected def wrap(rows: Int, cols: Int, compressed: Array[Byte]) = new GzipMatrix(rows, cols, compressed)
 }
 
 final class SnappyMatrix(rows: Int, cols: Int, bytes: Array[Byte])
-    extends GeneralCompressedMatrix(rows, cols, bytes) {
-  protected def decompress(b: Array[Byte]): Array[Byte] = Snappy.uncompress(b)
-  protected def compress(b: Array[Byte]): Array[Byte] = Snappy.compress(b)
-  protected def rebuild(r: Int, c: Int, b: Array[Byte]): SnappyMatrix = new SnappyMatrix(r, c, b)
-}
+    extends GeneralCompressedMatrix(SnappyEncoder, rows, cols, bytes)
 
-object SnappyEncoder extends MatrixEncoder {
+object SnappyEncoder extends GeneralCompression {
   val name = "Snappy"
-  def encode(batch: DenseMatrix): SnappyMatrix =
-    new SnappyMatrix(batch.rows, batch.cols,
-      Snappy.compress(GeneralCompressedMatrix.serializeDen(batch)))
+  def compress(bytes: Array[Byte]): Array[Byte] = Snappy.compress(bytes)
+  def decompress(bytes: Array[Byte], length: Int): Array[Byte] = {
+    val claimed = Snappy.uncompressedLength(bytes)
+    CorruptBatchException.check(claimed == length, s"Snappy payload claims $claimed bytes, not $length")
+    Snappy.uncompress(bytes)
+  }
+  protected def wrap(rows: Int, cols: Int, compressed: Array[Byte]) = new SnappyMatrix(rows, cols, compressed)
 }

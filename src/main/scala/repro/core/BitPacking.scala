@@ -1,7 +1,5 @@
 package repro.core
 
-import java.nio.{ByteBuffer, ByteOrder}
-
 /** Byte-aligned bit packing of non-negative integer arrays (§3.2).
   *
   * Per the paper, each integer in an array is stored in
@@ -10,7 +8,8 @@ import java.nio.{ByteBuffer, ByteOrder}
   * a masked 4-byte read, exactly as §4.1.1 describes for the missing
   * native `uint_24`.
   *
-  * Layout (little-endian): `[count: int32][width: int8][payload: count*width]`.
+  * Layout (little-endian): `[count: int32][width: int8][payload: count*width]`,
+  * written by [[ByteWriter.packed]] and read by [[ByteReader.packed]].
   */
 object BitPacking {
   /** Bytes needed per element to represent values up to `maxValue`. */
@@ -22,53 +21,23 @@ object BitPacking {
     else 4
   }
 
-  /** Exact serialized size of `values` including the 5-byte header. */
-  def packedSize(values: Array[Int]): Int =
-    5 + values.length * bytesPerInt(if (values.isEmpty) 0 else values.max)
+  /** Bytes per element of `values`. */
+  def width(values: Array[Int]): Int = bytesPerInt(if (values.isEmpty) 0 else values.max)
 
-  /** Append the packed form of `values` to `buf`. */
-  def packInto(values: Array[Int], buf: ByteBuffer): Unit = {
-    val width = bytesPerInt(if (values.isEmpty) 0 else values.max)
-    buf.order(ByteOrder.LITTLE_ENDIAN)
-    buf.putInt(values.length)
-    buf.put(width.toByte)
-    var i = 0
-    while (i < values.length) {
-      val v = values(i)
-      require(v >= 0, s"negative value $v not packable")
-      var b = 0
-      while (b < width) { buf.put(((v >>> (8 * b)) & 0xff).toByte); b += 1 }
-      i += 1
-    }
-  }
+  /** Exact serialized size of `values` including the 5-byte header. */
+  def packedSize(values: Array[Int]): Int = 5 + values.length * width(values)
 
   /** Pack to a standalone byte array. */
   def pack(values: Array[Int]): Array[Byte] = {
-    val buf = ByteBuffer.allocate(packedSize(values))
-    packInto(values, buf)
-    buf.array()
-  }
-
-  /** Read one packed array starting at `buf`'s current position,
-    * advancing the position past it.
-    */
-  def unpackFrom(buf: ByteBuffer): Array[Int] = {
-    buf.order(ByteOrder.LITTLE_ENDIAN)
-    val count = buf.getInt()
-    val width = buf.get().toInt
-    require(width >= 1 && width <= 4, s"bad pack width $width")
-    val out = new Array[Int](count)
-    var i = 0
-    while (i < count) {
-      var v = 0
-      var b = 0
-      while (b < width) { v |= (buf.get() & 0xff) << (8 * b); b += 1 }
-      out(i) = v
-      i += 1
-    }
-    out
+    require(values.forall(_ >= 0), "negative value not packable")
+    new ByteWriter(packedSize(values)).packed(values).result
   }
 
   /** Unpack a standalone packed array. */
-  def unpack(bytes: Array[Byte]): Array[Int] = unpackFrom(ByteBuffer.wrap(bytes))
+  def unpack(bytes: Array[Byte]): Array[Int] = {
+    val r = new ByteReader(bytes)
+    val out = r.packed()
+    r.end()
+    out
+  }
 }

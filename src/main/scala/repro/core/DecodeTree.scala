@@ -95,17 +95,23 @@ object DecodeTree {
       k += 1
     }
 
-    // Phase II: replay D.
+    // Phase II: replay D. A code must name a node built before it, except
+    // that `next` may name the node being built (the LZW self-reference
+    // case); so every parent is below its node and no chain cycles.
+    def checkCode(code: Int, last: Int): Unit =
+      if (code < 1 || code > last) throw new CorruptBatchException(s"TOC code $code is not a node in 1..$last")
     var idxSeqNum = iCols.length + 1
     r = 0
     while (r < numRows) {
       val to = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
       var j = rowStarts(r)
+      if (j < to) checkCode(tokens(j), idxSeqNum - 1)
       while (j < to - 1) {
         val cur = tokens(j)
         parents(idxSeqNum) = cur
         fCol(idxSeqNum) = fCol(cur); fVal(idxSeqNum) = fVal(cur)
         val next = tokens(j + 1)
+        checkCode(next, idxSeqNum)
         keyCols(idxSeqNum) = fCol(next); keyVals(idxSeqNum) = fVal(next)
         idxSeqNum += 1
         j += 1

@@ -10,7 +10,8 @@ import repro.linalg.DenseMatrix
 final case class ColValue(col: Int, value: Double)
 
 /** §3 sparse encoding: drop zeros, prefix each remaining value with its
-  * column index. `A` (dense table) becomes `B` (per-row pair sequences).
+  * column index. Only `+0.0` is a zero: `-0.0` is kept, so decoding is
+  * bit-exact. `A` (dense table) becomes `B` (per-row pair sequences).
   */
 object SparseEncoder {
   /** Encode one dense row. */
@@ -18,7 +19,7 @@ object SparseEncoder {
     val out = Array.newBuilder[ColValue]
     var j = 0
     while (j < row.length) {
-      if (row(j) != 0.0) out += ColValue(j, row(j))
+      if (java.lang.Double.doubleToRawLongBits(row(j)) != 0L) out += ColValue(j, row(j))
       j += 1
     }
     out.result()

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
+import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** A TOC-compressed mini-batch with the compressed execution kernels of §4.
   *
@@ -14,12 +14,13 @@ import repro.linalg.{CompressedMatrix, DenseMatrix, MatrixEncoder}
   * as the Spark executors do every epoch) still pays the build, and the
   * §5.2 op bench measures from bytes to keep the paper's accounting.
   */
-final class TocMatrix(val physical: TocPhysical) extends CompressedMatrix {
+final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def numRows: Int = physical.numRows
   def numCols: Int = physical.numCols
   def sizeBytes: Long = physical.sizeBytes
+  def encoder: MatrixEncoder = TocEncoder
 
-  @transient private lazy val cachedTree: DecodeTree = DecodeTree.buildFromPhysical(physical)
+  private lazy val cachedTree: DecodeTree = DecodeTree.buildFromPhysical(physical)
 
   /** `C'` (Algorithm 2), memoized per batch instance. */
   private def buildTree(): DecodeTree = cachedTree
@@ -244,7 +245,7 @@ final class TocMatrix(val physical: TocPhysical) extends CompressedMatrix {
     out
   }
 
-  /** Serialize to the physical byte layout (used by the Spark layer). */
+  /** The §3.2 physical byte layout. */
   def toBytes: Array[Byte] = physical.toBytes
 }
 

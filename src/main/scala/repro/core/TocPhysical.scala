@@ -1,8 +1,5 @@
 package repro.core
 
-import java.nio.{ByteBuffer, ByteOrder}
-import scala.collection.mutable
-
 /** §3.2 physical encoding: the on-disk / in-memory byte layout of a TOC
   * compressed mini-batch.
   *
@@ -38,17 +35,9 @@ final case class TocPhysical(
       BitPacking.packedSize(tokens) + BitPacking.packedSize(rowStarts)
 
   /** Serialize to the physical byte layout. */
-  def toBytes: Array[Byte] = {
-    val buf = ByteBuffer.allocate(sizeBytes.toInt).order(ByteOrder.LITTLE_ENDIAN)
-    buf.putInt(numRows); buf.putInt(numCols)
-    buf.putInt(dict.length)
-    dict.foreach(buf.putDouble)
-    BitPacking.packInto(iCols, buf)
-    BitPacking.packInto(iValIdx, buf)
-    BitPacking.packInto(tokens, buf)
-    BitPacking.packInto(rowStarts, buf)
-    buf.array()
-  }
+  def toBytes: Array[Byte] =
+    new ByteWriter(sizeBytes).int(numRows).int(numCols).int(dict.length).doubles(dict)
+      .packed(iCols).packed(iValIdx).packed(tokens).packed(rowStarts).result
 
   /** Reconstruct the logical `I` (pairs of the first tree layer). */
   def iPairs: Array[ColValue] =
@@ -67,12 +56,7 @@ object TocPhysical {
 
   /** Physically encode logical outputs (`I`, `D`). */
   def encode(numRows: Int, numCols: Int, enc: LogicalEncoded): TocPhysical = {
-    // Value indexing: dictionary of distinct values in first-occurrence order.
-    val dictIndex = mutable.LinkedHashMap.empty[Double, Int]
-    val iValIdx = enc.i.map { cv =>
-      dictIndex.getOrElseUpdate(cv.value, dictIndex.size)
-    }
-    val dict = dictIndex.keys.toArray
+    val (dict, iValIdx) = ValueIndex(enc.i.map(_.value))
     val iCols = enc.i.map(_.col)
 
     val tokens = enc.d.flatten
@@ -87,15 +71,21 @@ object TocPhysical {
     TocPhysical(numRows, numCols, dict, iCols, iValIdx, tokens, rowStarts)
   }
 
-  /** Deserialize from the physical byte layout. */
+  /** Deserialize from the physical byte layout. The codes in `tokens`
+    * are checked when `C'` is built ([[DecodeTree.buildRaw]]).
+    */
   def fromBytes(bytes: Array[Byte]): TocPhysical = {
-    val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-    val numRows = buf.getInt(); val numCols = buf.getInt()
-    val dict = Array.fill(buf.getInt())(buf.getDouble())
-    val iCols = BitPacking.unpackFrom(buf)
-    val iValIdx = BitPacking.unpackFrom(buf)
-    val tokens = BitPacking.unpackFrom(buf)
-    val rowStarts = BitPacking.unpackFrom(buf)
+    val r = new ByteReader(bytes)
+    val numRows = r.count(); val numCols = r.count()
+    val dict = r.doubles(r.count())
+    val iCols = r.packed(numCols - 1)
+    val iValIdx = r.packed(dict.length - 1)
+    val tokens = r.packed()
+    val rowStarts = r.packed(tokens.length)
+    r.end()
+    CorruptBatchException.check(iValIdx.length == iCols.length && rowStarts.length == numRows,
+      "TOC: I or rowStarts has the wrong length")
+    ByteReader.checkOffsets(rowStarts, "TOC rowStarts")
     TocPhysical(numRows, numCols, dict, iCols, iValIdx, tokens, rowStarts)
   }
 }

@@ -10,15 +10,16 @@ package repro.linalg
   * (Gzip/Snappy over DEN) every op pays the decompression cost — exactly
   * the behaviour the paper measures.
   */
-trait CompressedMatrix extends Serializable {
+trait CompressedMatrix {
   /** Number of matrix rows (mini-batch size). */
   def numRows: Int
 
   /** Number of matrix columns (feature count). */
   def numCols: Int
 
-  /** Size of the physical (serialized) representation in bytes — the
-    * quantity compression ratios are computed from.
+  /** Length in bytes of this encoding's byte format (see
+    * [[EncodedMatrix.toBytes]]) — the quantity compression ratios are
+    * computed from.
     */
   def sizeBytes: Long
 
@@ -46,12 +47,27 @@ trait CompressedMatrix extends Serializable {
   def plusScalar(c: Double): DenseMatrix = decode.plusScalar(c)
 }
 
+/** A compressed matrix in one of the [[Encodings]], which has exactly one
+  * byte format: `toBytes` writes it, `encoder.fromBytes` reads it back,
+  * and `sizeBytes` is its length. Every format starts with an int32
+  * `numRows, numCols` header.
+  */
+trait EncodedMatrix extends CompressedMatrix {
+  def encoder: MatrixEncoder
+  def toBytes: Array[Byte]
+}
+
 /** Factory: turns a raw dense mini-batch into a compressed one.
   *
   * One implementation per compared method (Table 6's rows); the `name`
   * matches the paper's method label.
   */
-trait MatrixEncoder extends Serializable {
+trait MatrixEncoder {
   def name: String
-  def encode(batch: DenseMatrix): CompressedMatrix
+  def encode(batch: DenseMatrix): EncodedMatrix
+
+  /** Parses the bytes of [[EncodedMatrix.toBytes]]; throws
+    * [[repro.core.CorruptBatchException]] on bytes that do not parse.
+    */
+  def fromBytes(bytes: Array[Byte]): EncodedMatrix
 }

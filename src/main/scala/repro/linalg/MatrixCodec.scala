@@ -1,51 +1,34 @@
 package repro.linalg
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
-import repro.core.{TocEncoder, TocMatrix}
+import repro.core.{ByteReader, ByteWriter, CorruptBatchException}
 
 /** Framing for shipping compressed mini-batches through Spark binary
-  * columns: 1 tag byte + payload. TOC uses its real §3.2 physical byte
-  * layout; the other schemes are framed via JDK object serialization
-  * (their `sizeBytes` accounting stays analytic and is what the ratio
-  * benches measure — this framing is transport only).
+  * columns: one tag byte, then the encoding's own bytes
+  * ([[EncodedMatrix.toBytes]]). The tag is 1 + the encoding's index in
+  * [[Encodings.all]], so TOC is tag 1.
   */
 object MatrixCodec {
-  private val TagToc: Byte = 1
-  private val TagJava: Byte = 0
-
-  def serialize(m: CompressedMatrix): Array[Byte] = m match {
-    case toc: TocMatrix =>
-      val payload = toc.toBytes
-      val out = new Array[Byte](payload.length + 1)
-      out(0) = TagToc
-      System.arraycopy(payload, 0, out, 1, payload.length)
-      out
-    case other =>
-      val bos = new ByteArrayOutputStream()
-      bos.write(TagJava)
-      val oos = new ObjectOutputStream(bos)
-      oos.writeObject(other); oos.close()
-      bos.toByteArray
+  def serialize(m: EncodedMatrix): Array[Byte] = {
+    val payload = m.toBytes
+    val out = new Array[Byte](payload.length + 1)
+    out(0) = (Encodings.all.indexOf(m.encoder) + 1).toByte
+    System.arraycopy(payload, 0, out, 1, payload.length)
+    out
   }
 
-  def deserialize(bytes: Array[Byte]): CompressedMatrix = bytes(0) match {
-    case TagToc =>
-      TocEncoder.fromBytes(java.util.Arrays.copyOfRange(bytes, 1, bytes.length))
-    case TagJava =>
-      val ois = new ObjectInputStream(new ByteArrayInputStream(bytes, 1, bytes.length - 1))
-      try ois.readObject().asInstanceOf[CompressedMatrix] finally ois.close()
-    case t => throw new IllegalArgumentException(s"unknown codec tag $t")
+  def deserialize(bytes: Array[Byte]): EncodedMatrix = {
+    val tag = if (bytes.isEmpty) 0 else bytes(0).toInt
+    CorruptBatchException.check(tag >= 1 && tag <= Encodings.all.length, s"unknown codec tag $tag")
+    Encodings.all(tag - 1).fromBytes(java.util.Arrays.copyOfRange(bytes, 1, bytes.length))
   }
 
   /** Little-endian float64 vector framing for label columns. */
-  def serializeVector(v: Array[Double]): Array[Byte] = {
-    val buf = java.nio.ByteBuffer.allocate(8 * v.length).order(java.nio.ByteOrder.LITTLE_ENDIAN)
-    v.foreach(buf.putDouble)
-    buf.array()
-  }
+  def serializeVector(v: Array[Double]): Array[Byte] = new ByteWriter(8L * v.length).doubles(v).result
 
   def deserializeVector(bytes: Array[Byte]): Array[Double] = {
-    val buf = java.nio.ByteBuffer.wrap(bytes).order(java.nio.ByteOrder.LITTLE_ENDIAN)
-    Array.fill(bytes.length / 8)(buf.getDouble())
+    val r = new ByteReader(bytes)
+    val v = r.doubles(bytes.length / 8)
+    r.end()
+    v
   }
 }

@@ -6,7 +6,7 @@ import repro.linalg.CompressedMatrix
   * plus the raw label vector. Labels are class ids (0/1 for binary,
   * 0..k-1 for multiclass); each model maps them to its own target coding.
   */
-final case class MiniBatch(x: CompressedMatrix, y: Array[Double]) extends Serializable {
+final case class MiniBatch(x: CompressedMatrix, y: Array[Double]) {
   require(x.numRows == y.length, s"batch rows ${x.numRows} != labels ${y.length}")
   def size: Int = y.length
 }

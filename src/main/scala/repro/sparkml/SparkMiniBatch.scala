@@ -7,8 +7,8 @@ import repro.linalg.{DenseMatrix, Encodings, MatrixCodec}
 import repro.mgd.MiniBatch
 
 /** One encoded mini-batch as carried through a Spark DataFrame: `x` is
-  * the serialized compressed matrix (TOC's real physical bytes, or the
-  * tagged framing for the other schemes), `y` the packed label vector.
+  * the compressed matrix framed by [[MatrixCodec]] (a tag byte, then the
+  * encoding's own bytes), `y` the packed label vector.
   */
 final case class EncodedBatchRow(batch_id: Long, n: Int, x: Array[Byte], y: Array[Byte])
 
@@ -65,10 +65,15 @@ object SparkMiniBatch {
             i += 1
           }
           val enc = encoder.encode(new DenseMatrix(n, cols, data))
-          EncodedBatchRow(pid.toLong * 1000000L + bi, n, MatrixCodec.serialize(enc), MatrixCodec.serializeVector(y))
+          EncodedBatchRow(batchId(pid, bi), n, MatrixCodec.serialize(enc), MatrixCodec.serializeVector(y))
         }
       }
   }
+
+  /** Id of batch `bi` of partition `pid`: unique, and ordered by
+    * partition, then by batch.
+    */
+  def batchId(pid: Int, bi: Int): Long = (pid.toLong << 32) | bi
 
   /** Decode a DataFrame row back to a [[MiniBatch]] (executor side). */
   def decodeBatch(row: EncodedBatchRow): MiniBatch =

@@ -8,6 +8,7 @@ import repro.linalg.{DenseMatrix, Encodings}
   * parametrized over encodings x matrix regimes.
   */
 class EncodingConformanceSpec extends AnyFunSuite {
+  import EncodingConformanceSpec._
 
   val eps = 1e-9
 
@@ -16,23 +17,6 @@ class EncodingConformanceSpec extends AnyFunSuite {
     got.zip(want).foreach { case (g, w) =>
       assert(math.abs(g - w) <= eps * math.max(1.0, math.abs(w)), s"$ctx: $g vs $w")
     }
-  }
-
-  /** Matrix regimes: (label, rows, cols, sparsity, quantized). */
-  val regimes: Seq[(String, Int, Int, Double, Boolean)] = Seq(
-    ("sparse-quantized", 35, 20, 0.2, true),
-    ("moderate-quantized", 35, 20, 0.5, true),
-    ("dense-continuous", 25, 15, 1.0, false),
-    ("very-sparse-continuous", 40, 30, 0.05, false),
-    ("all-zero", 10, 12, 0.0, true))
-
-  def matrixFor(rows: Int, cols: Int, sparsity: Double, quantized: Boolean, seed: Int): DenseMatrix = {
-    val rng = new scala.util.Random(seed)
-    new DenseMatrix(rows, cols, Array.fill(rows * cols) {
-      if (rng.nextDouble() < sparsity) {
-        if (quantized) (rng.nextInt(6) + 1) * 0.25 else rng.nextDouble() * 4 - 2
-      } else 0.0
-    })
   }
 
   for {
@@ -80,5 +64,24 @@ class EncodingConformanceSpec extends AnyFunSuite {
       val ratio = a.denSizeBytes.toDouble / e.encode(a).sizeBytes
       assert(ratio < 1.6, s"${e.name} ratio $ratio unexpectedly high on incompressible data")
     }
+  }
+}
+
+object EncodingConformanceSpec {
+  /** Matrix regimes: (label, rows, cols, sparsity, quantized). */
+  val regimes: Seq[(String, Int, Int, Double, Boolean)] = Seq(
+    ("sparse-quantized", 35, 20, 0.2, true),
+    ("moderate-quantized", 35, 20, 0.5, true),
+    ("dense-continuous", 25, 15, 1.0, false),
+    ("very-sparse-continuous", 40, 30, 0.05, false),
+    ("all-zero", 10, 12, 0.0, true))
+
+  def matrixFor(rows: Int, cols: Int, sparsity: Double, quantized: Boolean, seed: Int): DenseMatrix = {
+    val rng = new scala.util.Random(seed)
+    new DenseMatrix(rows, cols, Array.fill(rows * cols) {
+      if (rng.nextDouble() < sparsity) {
+        if (quantized) (rng.nextInt(6) + 1) * 0.25 else rng.nextDouble() * 4 - 2
+      } else 0.0
+    })
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import java.nio.ByteBuffer
+import java.nio.{ByteBuffer, ByteOrder}
 
 class BitPackingSpec extends AnyFunSuite {
 
@@ -70,12 +70,15 @@ class BitPackingSpec extends AnyFunSuite {
   test("multiple arrays packed into one buffer unpack in sequence") {
     val a = Array(1, 2, 3)
     val b = Array(70000, 5)
-    val buf = ByteBuffer.allocate(BitPacking.packedSize(a) + BitPacking.packedSize(b))
-    BitPacking.packInto(a, buf)
-    BitPacking.packInto(b, buf)
-    buf.flip()
-    assert(BitPacking.unpackFrom(buf).toSeq == a.toSeq)
-    assert(BitPacking.unpackFrom(buf).toSeq == b.toSeq)
-    assert(!buf.hasRemaining)
+    val bytes = new ByteWriter(BitPacking.packedSize(a) + BitPacking.packedSize(b)).packed(a).packed(b).result
+    val r = new ByteReader(bytes)
+    assert(r.packed().toSeq == a.toSeq)
+    assert(r.packed().toSeq == b.toSeq)
+    r.end()
+  }
+
+  test("a count larger than the bytes left throws CorruptBatchException before allocating") {
+    val header = ByteBuffer.allocate(5).order(ByteOrder.LITTLE_ENDIAN).putInt(Int.MaxValue).put(4.toByte).array()
+    intercept[CorruptBatchException](BitPacking.unpack(header))
   }
 }

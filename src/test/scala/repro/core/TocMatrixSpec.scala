@@ -2,6 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.DenseMatrix
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 
 /** Algorithms 3–8 checked against the dense reference kernels, including
   * the Figure 3 example and randomized matrices across sparsity regimes.
@@ -80,6 +82,13 @@ class TocMatrixSpec extends AnyFunSuite {
     val v = Array.tabulate(20)(i => math.sin(i.toDouble))
     assertVec(back.timesVector(v), a.timesVector(v))
     assert(back.decode == a)
+  }
+
+  test("a code naming its own node throws CorruptBatchException instead of hanging") {
+    // I = [(0, 1.0)] and one row with codes [2, 2]: node 2 would be its own parent.
+    val bytes = TocPhysical(1, 1, Array(1.0), Array(0), Array(0), Array(2, 2), Array(0)).toBytes
+    val decoded = Future(TocEncoder.fromBytes(bytes).decode)(ExecutionContext.global)
+    intercept[CorruptBatchException](Await.result(decoded, 10.seconds))
   }
 
   // Randomized conformance across sparsity regimes, with quantized values

@@ -1,6 +1,9 @@
 package repro.core
 
+import java.nio.{ByteBuffer, ByteOrder}
+import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.DenseMatrix
 
 class TocPhysicalSpec extends AnyFunSuite {
 
@@ -60,6 +63,26 @@ class TocPhysicalSpec extends AnyFunSuite {
       assert(q.iPairs.toSeq == p.iPairs.toSeq, s"trial $trial")
       assert(p.toBytes.length.toLong == p.sizeBytes, s"trial $trial")
     }
+  }
+
+  test("the bytes of a fixed batch keep the §3.2 layout (pinned SHA-256)") {
+    val rng = new scala.util.Random(2019)
+    val cols = 40
+    val base = Array.fill(20, cols)(if (rng.nextDouble() < 0.4) (rng.nextInt(300) + 1) * 0.25 else 0.0)
+    val data = Array.tabulate(250) { _ =>
+      val row = base(rng.nextInt(20)).clone()
+      row(rng.nextInt(cols)) = (rng.nextInt(300) + 1) * 0.25
+      row
+    }.flatten
+    val bytes = TocEncoder.encode(new DenseMatrix(250, cols, data)).toBytes
+    val sha = MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString
+    assert(bytes.length == 7016)
+    assert(sha == "397ed98c1fa06df96d99a6a63b707fe624acf9bad23f8361330e49cd7bb39ccb")
+  }
+
+  test("a header claiming Int.MaxValue dictionary entries throws CorruptBatchException, not OutOfMemoryError") {
+    val header = ByteBuffer.allocate(12).order(ByteOrder.LITTLE_ENDIAN).putInt(1).putInt(1).putInt(Int.MaxValue).array()
+    intercept[CorruptBatchException](TocPhysical.fromBytes(header))
   }
 
   test("tables with all-zero rows keep row boundaries") {

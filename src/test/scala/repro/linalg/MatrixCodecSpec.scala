@@ -1,10 +1,30 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.EncodingConformanceSpec
+import repro.core.CorruptBatchException
+import repro.data.Datasets
 
 class MatrixCodecSpec extends AnyFunSuite {
 
   val a = DenseMatrix.rand(30, 12, seed = 41, sparsity = 0.5)
+
+  /** The conformance regimes plus one 250-row batch of each moderate analog. */
+  lazy val batches: Seq[(String, DenseMatrix)] =
+    EncodingConformanceSpec.regimes.map { case (label, rows, cols, sp, quant) =>
+      label -> EncodingConformanceSpec.matrixFor(rows, cols, sp, quant, seed = label.hashCode)
+    } ++ Seq(Datasets.census, Datasets.imagenet, Datasets.mnist, Datasets.kdd99).map { spec =>
+      spec.name -> Datasets.slice(spec, 0, 250)._1
+    }
+
+  /** Signed zeros, an infinity and a subnormal. */
+  val special = DenseMatrix.fromRows(Seq(
+    Seq(0.0, -0.0, 1.5),
+    Seq(-0.0, Double.PositiveInfinity, Double.MinPositiveValue)))
+
+  def sameBits(x: DenseMatrix, y: DenseMatrix): Boolean =
+    x.rows == y.rows && x.cols == y.cols &&
+      x.data.map(java.lang.Double.doubleToRawLongBits).sameElements(y.data.map(java.lang.Double.doubleToRawLongBits))
 
   for (enc <- Encodings.all) {
     test(s"${enc.name}: serialize/deserialize preserves decode and ops") {
@@ -16,13 +36,39 @@ class MatrixCodecSpec extends AnyFunSuite {
         assert(math.abs(g - w) < 1e-9)
       }
     }
+
+    test(s"${enc.name}: serialized length is sizeBytes + 1 on every regime and analog") {
+      for ((label, x) <- batches) {
+        val m = enc.encode(x)
+        val bytes = MatrixCodec.serialize(m)
+        assert(bytes.length == m.sizeBytes + 1, label)
+        assert(sameBits(MatrixCodec.deserialize(bytes).decode, x), label)
+      }
+    }
+
+    test(s"${enc.name}: -0.0, +Inf and a subnormal round-trip bit-exact") {
+      val back = MatrixCodec.deserialize(MatrixCodec.serialize(enc.encode(special))).decode
+      assert(sameBits(back, special))
+    }
+
+    test(s"${enc.name}: every truncation throws CorruptBatchException") {
+      val bytes = MatrixCodec.serialize(enc.encode(a))
+      for (k <- 0 until bytes.length)
+        intercept[CorruptBatchException](MatrixCodec.deserialize(bytes.take(k)).decode)
+    }
   }
 
   test("TOC is framed with its physical byte layout (tag 1), not JDK serialization") {
     val bytes = MatrixCodec.serialize(Encodings.byName("TOC").encode(a))
     assert(bytes(0) == 1.toByte)
-    // far smaller than JDK object framing of a dense batch
+    // far smaller than the bytes of the dense batch
     assert(bytes.length < MatrixCodec.serialize(Encodings.byName("DEN").encode(a)).length)
+  }
+
+  test("a DEN header whose rows x cols overflows throws CorruptBatchException") {
+    val header = java.nio.ByteBuffer.allocate(8).order(java.nio.ByteOrder.LITTLE_ENDIAN)
+      .putInt(1 << 30).putInt(Int.MaxValue).array()
+    intercept[CorruptBatchException](repro.baselines.DenEncoder.fromBytes(header))
   }
 
   test("unknown tag is rejected") {

@@ -46,6 +46,12 @@ class SparkMiniBatchSpec extends SparkSpec {
     assert(batches.forall(_.n <= 64))
   }
 
+  test("batch ids stay unique past a million batches per partition, ordered by partition then batch") {
+    assert(SparkMiniBatch.batchId(0, 1000000) != SparkMiniBatch.batchId(1, 0))
+    assert(SparkMiniBatch.batchId(0, Int.MaxValue) < SparkMiniBatch.batchId(1, 0))
+    assert(SparkMiniBatch.batchId(1, 0) < SparkMiniBatch.batchId(1, 1))
+  }
+
   test("encodedSizeBytes aggregates serialized x+y lengths via Spark SQL") {
     val df = SparkMiniBatch.generateDf(spark, Datasets.census, 200, numPartitions = 2)
     val ds = SparkMiniBatch.encodeBatches(df, 100, "TOC").cache()
