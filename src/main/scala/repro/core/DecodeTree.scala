@@ -18,39 +18,9 @@ final class DecodeTree(
 ) {
   /** Number of nodes including the root (`len(C')`). */
   def size: Int = parents.length
-
-  /** Key of node `i` as a pair (null for root) — test/debug accessor. */
-  def key(i: Int): ColValue = if (i == 0) null else ColValue(keyCols(i), keyVals(i))
-
-  /** All keys (root first, as null) — test/debug accessor. */
-  def keys: Array[ColValue] = Array.tabulate(size)(key)
-
-  /** Parent index of node `i` (-1 for root). */
-  @inline def parent(i: Int): Int = parents(i)
-
-  /** Sequence represented by node `i`, root→node order (§3.1.1 `seq`).
-    * Materialized only for decoding / tests — kernels use Equation 6.
-    */
-  def sequence(i: Int): List[ColValue] = {
-    var cur = i
-    var acc = List.empty[ColValue]
-    while (cur != 0) { acc = key(cur) :: acc; cur = parents(cur) }
-    acc
-  }
 }
 
 object DecodeTree {
-
-  /** Algorithm 2 on the logical representation (reference/tests). */
-  def build(i: Array[ColValue], d: Array[Array[Int]]): DecodeTree = {
-    val iCols = i.map(_.col)
-    val iVals = i.map(_.value)
-    val rowStarts = new Array[Int](d.length)
-    var off = 0
-    var r = 0
-    while (r < d.length) { rowStarts(r) = off; off += d(r).length; r += 1 }
-    buildRaw(iCols, iVals, d.flatten, rowStarts)
-  }
 
   /** Algorithm 2 straight off the physical arrays — the kernel path. */
   def buildFromPhysical(p: TocPhysical): DecodeTree = {

@@ -2,55 +2,12 @@ package repro.core
 
 import scala.collection.mutable
 
-/** The encode-side prefix tree of §3.1.1.
-  *
-  * Node 0 is the root (no key). Every other node stores a
-  * column_index:value pair as its key and represents the sequence of pairs
-  * on the path from the root. Children are resolved via a per-node hash
-  * map (`GetIndex`), the standard LZW dictionary technique.
-  */
-final class PrefixTree {
-  private val keys    = mutable.ArrayBuffer[ColValue](null)          // index 0 = root
-  private val parents = mutable.ArrayBuffer[Int](-1)
-  private val children = mutable.ArrayBuffer[mutable.HashMap[ColValue, Int]](mutable.HashMap.empty)
-
-  /** Number of nodes including the root. */
-  def size: Int = keys.size
-
-  /** `AddNode(n, k)`: new child of node `n` with key `k`; returns its index. */
-  def addNode(n: Int, k: ColValue): Int = {
-    val idx = keys.size
-    keys += k
-    parents += n
-    children += mutable.HashMap.empty
-    children(n).put(k, idx)
-    idx
-  }
-
-  /** `GetIndex(n, k)`: index of the child of `n` with key `k`, or -1. */
-  def getIndex(n: Int, k: ColValue): Int = children(n).getOrElse(k, -1)
-
-  /** Key of node `i` (null for the root). */
-  def key(i: Int): ColValue = keys(i)
-
-  /** Parent index of node `i` (-1 for the root). */
-  def parent(i: Int): Int = parents(i)
-
-  /** The full sequence of pairs represented by node `i` (root→node order).
-    * Used only by tests and examples — the kernels never materialize it.
-    */
-  def sequence(i: Int): List[ColValue] = {
-    var cur = i
-    var acc = List.empty[ColValue]
-    while (cur != 0) { acc = keys(cur) :: acc; cur = parents(cur) }
-    acc
-  }
-}
-
 /** Output of logical encoding (§3.1): `I` is the first tree layer's pairs
-  * (node `i+1`'s key at position `i`), `D` the per-tuple node-index codes.
+  * (node `k+1`'s key at position `k`); `D` is every tuple's node-index
+  * codes concatenated in `tokens`, tuple `r`'s codes starting at
+  * `rowStarts(r)`.
   */
-final case class LogicalEncoded(i: Array[ColValue], d: Array[Array[Int]])
+final case class LogicalEncoded(i: Array[ColValue], tokens: Array[Int], rowStarts: Array[Int])
 
 /** Algorithm 1: the LZW-style prefix tree encoding algorithm.
   *
@@ -58,75 +15,75 @@ final case class LogicalEncoded(i: Array[ColValue], d: Array[Array[Int]])
   * order); phase II greedily matches each tuple against the longest known
   * sequence, emitting node indexes and growing the tree by one node per
   * emitted code (except a tuple's last code).
+  *
+  * The tree is one table from (parent node, pair) to child node, the
+  * classic LZW dictionary (Welch, IEEE Computer 1984). Pairs are keyed on
+  * their column and the raw bits of their value, so equal pairs always
+  * share a node, NaN included.
   */
 object PrefixTreeEncoder {
 
-  /** Encode sparse table `B`; returns (`I`, `D`) and (for tests/debug) the tree. */
-  def encodeWithTree(b: Array[Array[ColValue]]): (LogicalEncoded, PrefixTree) = {
-    val tree = new PrefixTree
+  /** A table key for the int pair (`hi`, `lo`), `lo` ≥ 0. `LongMap` folds a
+    * key to `hi ^ lo` before hashing, so unmixed (node, pair) keys collide
+    * heavily; the odd-constant multiply is a bijection that spreads them.
+    */
+  @inline private def key(hi: Int, lo: Int): Long = ((hi.toLong << 32) | lo) * 0x9E3779B97F4A7C15L
 
-    // Phase I: initialize the first layer with all unique pairs.
+  /** Encode sparse table `B` into (`I`, `D`). */
+  def encode(b: Array[Array[ColValue]]): LogicalEncoded = {
+    // Phase I: node 1..|I| for each unique pair, in first-occurrence order;
+    // `pairNodes` holds every pair's first-layer node.
+    val valueIds = mutable.LongMap.empty[Int]
+    val firstLayer = mutable.LongMap.empty[Int]
+    val iOut = Array.newBuilder[ColValue]
+    val pairNodes = new Array[Int](b.foldLeft(0)(_ + _.length))
+    var p = 0
     var r = 0
     while (r < b.length) {
       val t = b(r)
-      var i = 0
-      while (i < t.length) {
-        if (tree.getIndex(0, t(i)) == -1) tree.addNode(0, t(i))
-        i += 1
+      var j = 0
+      while (j < t.length) {
+        val bits = java.lang.Double.doubleToRawLongBits(t(j).value)
+        var v = valueIds.getOrElse(bits, -1)
+        if (v < 0) { v = valueIds.size; valueIds(bits) = v }
+        val k = key(t(j).col, v)
+        var n = firstLayer.getOrElse(k, 0)
+        if (n == 0) { n = firstLayer.size + 1; firstLayer(k) = n; iOut += t(j) }
+        pairNodes(p) = n
+        p += 1
+        j += 1
       }
       r += 1
     }
-    val firstLayerLen = tree.size - 1
 
-    // Phase II: encode each tuple as longest-match node indexes.
-    val d = new Array[Array[Int]](b.length)
+    // Phase II: LongestMatchFromTree from each pair, AddNode(match, next
+    // pair) where the match stops inside the tuple, then emit the match.
+    // Every match is ≥ 1 pair long because phase I seeded every pair.
+    val children = mutable.LongMap.empty[Int]
+    var nextNode = firstLayer.size + 1
+    val tokens = new Array[Int](pairNodes.length)
+    val rowStarts = new Array[Int](b.length)
+    var numTokens = 0
+    var j = 0
     r = 0
     while (r < b.length) {
-      val t = b(r)
-      val codes = Array.newBuilder[Int]
-      var i = 0
-      while (i < t.length) {
-        val (n, j) = longestMatchFromTree(t, i, tree)
-        codes += n
-        if (j < t.length) tree.addNode(n, t(j))
-        i = j
+      rowStarts(r) = numTokens
+      val to = j + b(r).length
+      while (j < to) {
+        var n = pairNodes(j)
+        j += 1
+        var matching = true
+        while (matching && j < to) {
+          val k = key(n, pairNodes(j))
+          val child = children.getOrElse(k, 0)
+          if (child != 0) { n = child; j += 1 }
+          else { children(k) = nextNode; nextNode += 1; matching = false }
+        }
+        tokens(numTokens) = n
+        numTokens += 1
       }
-      d(r) = codes.result()
       r += 1
     }
-
-    val iOut = Array.tabulate(firstLayerLen)(k => tree.key(k + 1))
-    (LogicalEncoded(iOut, d), tree)
-  }
-
-  /** Encode, returning only the (`I`, `D`) outputs. */
-  def encode(b: Array[Array[ColValue]]): LogicalEncoded = encodeWithTree(b)._1
-
-  /** `LongestMatchFromTree(t, i, C)`: walk the tree from the root matching
-    * `t(i), t(i+1), ...`; returns (matched node index, next start position).
-    * The match is ≥ 1 pair long because phase I seeded every unique pair.
-    */
-  def longestMatchFromTree(t: Array[ColValue], i: Int, tree: PrefixTree): (Int, Int) = {
-    var j = i
-    var nPrime = tree.getIndex(0, t(j))
-    var n = -1
-    while (nPrime != -1) {
-      n = nPrime
-      j += 1
-      nPrime = if (j < t.length) tree.getIndex(n, t(j)) else -1
-    }
-    (n, j)
-  }
-
-  /** Decode (`I`, `D`) back to the sparse table — reference decoder used by
-    * tests and by the sparse-unsafe path (§4.5 / Algorithm 6).
-    */
-  def decode(enc: LogicalEncoded): Array[Array[ColValue]] = {
-    val tree = DecodeTree.build(enc.i, enc.d)
-    enc.d.map { codes =>
-      val out = Array.newBuilder[ColValue]
-      codes.foreach(c => out ++= tree.sequence(c))
-      out.result()
-    }
+    LogicalEncoded(iOut.result(), java.util.Arrays.copyOf(tokens, numTokens), rowStarts)
   }
 }

@@ -284,6 +284,6 @@ object TocEncoder extends MatrixEncoder {
     */
   def sparseLogicalSizeBytes(batch: DenseMatrix): Long = {
     val logical = PrefixTreeEncoder.encode(SparseEncoder.encode(batch))
-    8L + 12L * logical.i.length + 4L * logical.d.map(_.length.toLong).sum + 4L * batch.rows
+    8L + 12L * logical.i.length + 4L * logical.tokens.length + 4L * batch.rows
   }
 }

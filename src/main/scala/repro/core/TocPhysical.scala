@@ -38,37 +38,14 @@ final case class TocPhysical(
   def toBytes: Array[Byte] =
     new ByteWriter(sizeBytes).int(numRows).int(numCols).int(dict.length).doubles(dict)
       .packed(iCols).packed(iValIdx).packed(tokens).packed(rowStarts).result
-
-  /** Reconstruct the logical `I` (pairs of the first tree layer). */
-  def iPairs: Array[ColValue] =
-    Array.tabulate(iCols.length)(k => ColValue(iCols(k), dict(iValIdx(k))))
-
-  /** Reconstruct the logical `D` (per-tuple code vectors). */
-  def dRows: Array[Array[Int]] =
-    Array.tabulate(numRows) { r =>
-      val from = rowStarts(r)
-      val to   = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
-      java.util.Arrays.copyOfRange(tokens, from, to)
-    }
 }
 
 object TocPhysical {
 
-  /** Physically encode logical outputs (`I`, `D`). */
+  /** Physically encode logical outputs (`I`, `D`): value-index `I`. */
   def encode(numRows: Int, numCols: Int, enc: LogicalEncoded): TocPhysical = {
     val (dict, iValIdx) = ValueIndex(enc.i.map(_.value))
-    val iCols = enc.i.map(_.col)
-
-    val tokens = enc.d.flatten
-    val rowStarts = new Array[Int](numRows)
-    var off = 0
-    var r = 0
-    while (r < numRows) {
-      rowStarts(r) = off
-      off += enc.d(r).length
-      r += 1
-    }
-    TocPhysical(numRows, numCols, dict, iCols, iValIdx, tokens, rowStarts)
+    TocPhysical(numRows, numCols, dict, enc.i.map(_.col), iValIdx, enc.tokens, enc.rowStarts)
   }
 
   /** Deserialize from the physical byte layout. The codes in `tokens`

@@ -35,11 +35,3 @@ final case class StorageSim(memoryBudgetBytes: Long, diskBandwidthBytesPerSec: D
   def totalIoSeconds(encodedBytes: Long, epochs: Int): Double =
     initialLoadSeconds(encodedBytes) + epochs * perEpochIoSeconds(encodedBytes)
 }
-
-object StorageSim {
-  /** Default profile: ~150 MB/s sequential disk, matching the class of
-    * cloud machine in §5 ("Machine and System Setup").
-    */
-  def withBudgetMb(memoryMb: Long, diskMbPerSec: Double = 150.0): StorageSim =
-    StorageSim(memoryMb * 1024 * 1024, diskMbPerSec * 1024 * 1024)
-}

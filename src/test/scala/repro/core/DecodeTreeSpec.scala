@@ -1,9 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TocViews._
 
-/** Algorithm 2 checked against Table 4 (the example C') and against the
-  * encode-side tree on random inputs.
+/** Algorithm 2 checked against Table 4 (the example C') and the §4
+  * identities.
   */
 class DecodeTreeSpec extends AnyFunSuite {
 
@@ -11,7 +12,7 @@ class DecodeTreeSpec extends AnyFunSuite {
 
   test("Table 4: C' reproduces the documented keys exactly") {
     val enc = PrefixTreeEncoder.encode(tableB)
-    val c = DecodeTree.build(enc.i, enc.d)
+    val c = TocViews.tree(enc)
     assert(c.size == 11)
     val wantKeys = Seq(null,
       ColValue(1, 1.1), ColValue(2, 2.0), ColValue(3, 3.0), ColValue(4, 1.4), ColValue(2, 1.1),
@@ -21,50 +22,26 @@ class DecodeTreeSpec extends AnyFunSuite {
 
   test("Table 4: C' reproduces the documented parent indexes exactly") {
     val enc = PrefixTreeEncoder.encode(tableB)
-    val c = DecodeTree.build(enc.i, enc.d)
+    val c = TocViews.tree(enc)
     assert(c.parents.toSeq == Seq(-1, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5))
-  }
-
-  test("C' node sequences equal the encode-side tree's sequences") {
-    val (enc, encodeTree) = PrefixTreeEncoder.encodeWithTree(tableB)
-    val c = DecodeTree.build(enc.i, enc.d)
-    for (i <- 1 until c.size)
-      assert(c.sequence(i) == encodeTree.sequence(i), s"node $i")
-  }
-
-  test("C' equals the encode tree (keys and parents) on random tables") {
-    val rng = new scala.util.Random(4242)
-    for (trial <- 1 to 30) {
-      val rows = Array.fill(rng.nextInt(25) + 1) {
-        val cols = rng.shuffle((0 until 12).toList).take(rng.nextInt(10)).sorted
-        cols.map(j => ColValue(j, (rng.nextInt(6) + 1) * 0.25)).toArray
-      }
-      val (enc, encodeTree) = PrefixTreeEncoder.encodeWithTree(rows)
-      val c = DecodeTree.build(enc.i, enc.d)
-      assert(c.size == encodeTree.size, s"trial $trial size")
-      for (i <- 1 until c.size) {
-        assert(c.key(i) == encodeTree.key(i), s"trial $trial key $i")
-        assert(c.parent(i) == encodeTree.parent(i), s"trial $trial parent $i")
-      }
-    }
   }
 
   test("|C'| = 1 + |I| + sum(len(D[i]) - 1) — the §4.6 size identity") {
     val enc = PrefixTreeEncoder.encode(tableB)
-    val c = DecodeTree.build(enc.i, enc.d)
+    val c = TocViews.tree(enc)
     val expected = 1 + enc.i.length + enc.d.map(d => math.max(0, d.length - 1)).sum
     assert(c.size == expected)
   }
 
   test("empty table yields a root-only tree") {
-    val c = DecodeTree.build(Array.empty, Array.empty)
+    val c = TocViews.tree(PrefixTreeEncoder.encode(Array.empty))
     assert(c.size == 1)
     assert(c.parent(0) == -1)
   }
 
   test("Equation 6: seq(i) = key(i) appended to seq(parent(i))") {
     val enc = PrefixTreeEncoder.encode(tableB)
-    val c = DecodeTree.build(enc.i, enc.d)
+    val c = TocViews.tree(enc)
     for (i <- 1 until c.size)
       assert(c.sequence(i) == c.sequence(c.parent(i)) :+ c.key(i), s"node $i")
   }

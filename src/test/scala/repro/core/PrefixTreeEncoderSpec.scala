@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TocViews._
 
 /** Reproduces the paper's running example: Figure 3's table B encoded by
   * Algorithm 1, checked step-for-step against Table 2.
@@ -10,7 +11,9 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
   // Figure 3's sparse encoded table B, with the paper's 1-based columns.
   def tableB: Array[Array[ColValue]] = Fig3.tableB
 
-  lazy val (encoded, tree) = PrefixTreeEncoder.encodeWithTree(tableB)
+  lazy val encoded = PrefixTreeEncoder.encode(tableB)
+  // C' rebuilds Algorithm 1's final tree: same node numbers, keys and parents.
+  lazy val tree = TocViews.tree(encoded)
 
   test("Table 2 phase I: tree initialized with the 5 unique pairs, in order") {
     assert(encoded.i.toSeq == Seq(
@@ -32,22 +35,20 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
   }
 
   test("Table 2: LongestMatchFromTree returns the documented matches for R2") {
-    // Build the tree state just after R1 by encoding R1 alone plus phase I of all.
-    val (n0, j0) = PrefixTreeEncoder.longestMatchFromTree(tableB(1), 0, tree)
-    // On the final tree R2's prefix [1:1.1, 2:2, 3:3] matches node 9 fully;
-    // Table 2 documents the *mid-encoding* state where the match was node 6.
-    assert(n0 == 9 && j0 == 3)
-    // R4 = [1:1.1, 2:2] matches node 6 exactly (Table 2's last row) and is
-    // encoded as that single code in the final D.
-    val (n1, j1) = PrefixTreeEncoder.longestMatchFromTree(tableB(3), 0, tree)
-    assert(n1 == 6 && j1 == 2)
+    // Appending R2 and R4 again matches each against the final tree. R2's
+    // prefix [1:1.1, 2:2, 3:3] is node 9 (Table 2 documents the
+    // mid-encoding state, where the match was node 6); R4 = [1:1.1, 2:2]
+    // is node 6 exactly (Table 2's last row). No new pair enters I.
+    val enc = PrefixTreeEncoder.encode(tableB :+ tableB(1) :+ tableB(3))
+    assert(enc.i.length == 5)
+    assert(enc.d.takeRight(2).map(_.toSeq).toSeq == Seq(Seq(9), Seq(6)))
   }
 
   test("Table 3: tuple boundaries preserved — each tuple encoded separately") {
     // The number of code vectors equals the number of tuples.
     assert(encoded.d.length == tableB.length)
     // Decoding each code vector independently gives back exactly that tuple.
-    val decoded = PrefixTreeEncoder.decode(encoded)
+    val decoded = TocViews.decode(encoded)
     decoded.zip(tableB).foreach { case (got, want) => assert(got.toSeq == want.toSeq) }
   }
 
@@ -61,13 +62,13 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
     val withEmpty = tableB :+ Array.empty[ColValue]
     val enc = PrefixTreeEncoder.encode(withEmpty)
     assert(enc.d.last.isEmpty)
-    assert(PrefixTreeEncoder.decode(enc).last.isEmpty)
+    assert(TocViews.decode(enc).last.isEmpty)
   }
 
   test("single-tuple table: codes cover the tuple") {
     val single = Array(tableB(0))
     val enc = PrefixTreeEncoder.encode(single)
-    assert(PrefixTreeEncoder.decode(enc)(0).toSeq == tableB(0).toSeq)
+    assert(TocViews.decode(enc)(0).toSeq == tableB(0).toSeq)
   }
 
   test("identical tuples collapse to the same single code after warm-up") {
@@ -78,7 +79,7 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
     assert(enc.d.head.length == 4)
     assert(enc.d.last.length < enc.d.head.length)
     assert(enc.d.map(_.length).sum < 10 * 4)
-    PrefixTreeEncoder.decode(enc).foreach(r => assert(r.toSeq == tableB(0).toSeq))
+    TocViews.decode(enc).foreach(r => assert(r.toSeq == tableB(0).toSeq))
   }
 
   test("LZW self-reference (KwKwK) case decodes correctly") {
@@ -88,7 +89,7 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
     val rows = Array(Array(p, p, p))
     val enc = PrefixTreeEncoder.encode(rows)
     assert(enc.d(0).toSeq == Seq(1, 2))
-    assert(PrefixTreeEncoder.decode(enc)(0).toSeq == Seq(p, p, p))
+    assert(TocViews.decode(enc)(0).toSeq == Seq(p, p, p))
   }
 
   test("randomized round-trip over arbitrary pair tables") {
@@ -99,7 +100,7 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
           ColValue(rng.nextInt(8), (rng.nextInt(5) + 1) * 0.5))
       }
       val enc = PrefixTreeEncoder.encode(rows)
-      val dec = PrefixTreeEncoder.decode(enc)
+      val dec = TocViews.decode(enc)
       rows.zip(dec).foreach { case (want, got) =>
         assert(got.toSeq == want.toSeq, s"trial $trial")
       }

@@ -91,6 +91,19 @@ class TocMatrixSpec extends AnyFunSuite {
     intercept[CorruptBatchException](Await.result(decoded, 10.seconds))
   }
 
+  test("a NaN column compresses like any repeated value, and round-trips bit-exact") {
+    // Column 0 holds one value in every row; columns 1-3 are constant too.
+    def batch(v: Double) = DenseMatrix.fromRows(Seq.fill(100)(Seq(v, 1.0, 2.0, 3.0)))
+    val nan = TocEncoder.encode(batch(Double.NaN))
+    val plain = TocEncoder.encode(batch(1.5))
+    assert(nan.physical.iCols.length == 4)
+    assert(nan.physical.iCols.length == plain.physical.iCols.length)
+    assert(nan.toBytes.length == plain.toBytes.length)
+    val back = TocEncoder.fromBytes(nan.toBytes).decode
+    assert(back.data.map(java.lang.Double.doubleToRawLongBits).sameElements(
+      batch(Double.NaN).data.map(java.lang.Double.doubleToRawLongBits)))
+  }
+
   // Randomized conformance across sparsity regimes, with quantized values
   // (TOC's target regime) and continuous values (worst case).
   for {

@@ -3,6 +3,8 @@ package repro.core
 import java.nio.{ByteBuffer, ByteOrder}
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TocViews._
+import repro.data.Datasets
 import repro.linalg.DenseMatrix
 
 class TocPhysicalSpec extends AnyFunSuite {
@@ -74,10 +76,23 @@ class TocPhysicalSpec extends AnyFunSuite {
       row(rng.nextInt(cols)) = (rng.nextInt(300) + 1) * 0.25
       row
     }.flatten
-    val bytes = TocEncoder.encode(new DenseMatrix(250, cols, data)).toBytes
-    val sha = MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString
-    assert(bytes.length == 7016)
-    assert(sha == "397ed98c1fa06df96d99a6a63b707fe624acf9bad23f8361330e49cd7bb39ccb")
+    // Batch → (length, SHA-256) of its TOC bytes.
+    val pinned = Seq(
+      ("fixed", new DenseMatrix(250, cols, data), 7016,
+        "397ed98c1fa06df96d99a6a63b707fe624acf9bad23f8361330e49cd7bb39ccb"),
+      ("census-like", Datasets.slice(Datasets.census, 0, 250)._1, 5466,
+        "dce972c56b801fa9f9bc4d180b33f61eb4135d76bb43d6b4b102ce3394e0391d"),
+      ("imagenet-like", Datasets.slice(Datasets.imagenet, 0, 250)._1, 63762,
+        "d3fb7647511401835087c30095fd977d80bd3b2b7fc4943d2758f93ff30057a7"),
+      ("mnist-like", Datasets.slice(Datasets.mnist, 0, 250)._1, 105436,
+        "942835204a853fdf1ac3bddbc0faf35ef1999c6ed28ae052c0d40f6b0b84c32b"),
+      ("kdd99-like", Datasets.slice(Datasets.kdd99, 0, 250)._1, 2104,
+        "8497c2cf5cea90fa0a460ffe67dcab939d3f900807fa79fc51b9c95c30c00a9f"))
+    for ((label, batch, length, sha) <- pinned) {
+      val bytes = TocEncoder.encode(batch).toBytes
+      assert(bytes.length == length, label)
+      assert(MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString == sha, label)
+    }
   }
 
   test("a header claiming Int.MaxValue dictionary entries throws CorruptBatchException, not OutOfMemoryError") {

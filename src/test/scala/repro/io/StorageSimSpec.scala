@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class StorageSimSpec extends AnyFunSuite {
 
-  val sim = StorageSim.withBudgetMb(100, diskMbPerSec = 100.0)
+  // 100 MB of memory, 100 MB/s of disk.
+  val sim = StorageSim(100L * 1024 * 1024, 100.0 * 1024 * 1024)
 
   test("fits honors the budget boundary") {
     assert(sim.fits(100L * 1024 * 1024))

@@ -17,10 +17,11 @@ class MatrixCodecSpec extends AnyFunSuite {
       spec.name -> Datasets.slice(spec, 0, 250)._1
     }
 
-  /** Signed zeros, an infinity and a subnormal. */
+  /** Signed zeros, an infinity, a subnormal and two NaN payloads. */
   val special = DenseMatrix.fromRows(Seq(
     Seq(0.0, -0.0, 1.5),
-    Seq(-0.0, Double.PositiveInfinity, Double.MinPositiveValue)))
+    Seq(-0.0, Double.PositiveInfinity, Double.MinPositiveValue),
+    Seq(Double.NaN, java.lang.Double.longBitsToDouble(0x7ff8000000000001L), Double.NaN)))
 
   def sameBits(x: DenseMatrix, y: DenseMatrix): Boolean =
     x.rows == y.rows && x.cols == y.cols &&
