@@ -3,24 +3,21 @@ package repro.baselines
 import repro.core.{ByteReader, ByteWriter}
 import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
-/** CSR (§5 "Compared Methods" #2): compressed sparse row — per row only
-  * the non-zero values (float64) and their column indexes (int32).
-  *
-  * Layout: `int32 numRows | int32 numCols | rowPtr int32s | colIdx int32s
-  * | values float64s`.
+/** A matrix stored row by row as CSR stores it: for row `i`, positions
+  * `rowPtr(i) until rowPtr(i + 1)` hold the column indexes `colIdx(k)` of
+  * its non-zeros and `value(k)` gives their values. The kernels and
+  * `decode` are written once here; CSR and CVI (CSR with value indexing)
+  * differ only in where `value(k)` comes from, their bytes and `A.*c`.
   */
-final class CsrMatrix(
+abstract class SparseRowMatrix(
     val numRows: Int,
     val numCols: Int,
-    val values: Array[Double],
     val colIdx: Array[Int],
     val rowPtr: Array[Int] // length numRows + 1
 ) extends EncodedMatrix {
 
-  def sizeBytes: Long = 8L + 8L * values.length + 4L * colIdx.length + 4L * rowPtr.length
-  def encoder: MatrixEncoder = CsrEncoder
-  def toBytes: Array[Byte] =
-    new ByteWriter(sizeBytes).int(numRows).int(numCols).ints(rowPtr).ints(colIdx).doubles(values).result
+  /** The non-zero value at position `k` of `colIdx`. */
+  protected def value(k: Int): Double
 
   def timesVector(v: Array[Double]): Array[Double] = {
     require(v.length == numCols)
@@ -29,7 +26,7 @@ final class CsrMatrix(
     while (i < numRows) {
       var s = 0.0
       var k = rowPtr(i)
-      while (k < rowPtr(i + 1)) { s += values(k) * v(colIdx(k)); k += 1 }
+      while (k < rowPtr(i + 1)) { s += value(k) * v(colIdx(k)); k += 1 }
       out(i) = s
       i += 1
     }
@@ -44,7 +41,7 @@ final class CsrMatrix(
       val vi = v(i)
       if (vi != 0.0) {
         var k = rowPtr(i)
-        while (k < rowPtr(i + 1)) { out(colIdx(k)) += vi * values(k); k += 1 }
+        while (k < rowPtr(i + 1)) { out(colIdx(k)) += vi * value(k); k += 1 }
       }
       i += 1
     }
@@ -59,7 +56,7 @@ final class CsrMatrix(
     while (i < numRows) {
       var k = rowPtr(i)
       while (k < rowPtr(i + 1)) {
-        val a = values(k); val mBase = colIdx(k) * p; val oBase = i * p
+        val a = value(k); val mBase = colIdx(k) * p; val oBase = i * p
         var j = 0
         while (j < p) { out(oBase + j) += a * m.data(mBase + j); j += 1 }
         k += 1
@@ -77,7 +74,7 @@ final class CsrMatrix(
     while (i < numRows) {
       var k = rowPtr(i)
       while (k < rowPtr(i + 1)) {
-        val a = values(k); val c = colIdx(k)
+        val a = value(k); val c = colIdx(k)
         var r = 0
         while (r < p) { out(r * numCols + c) += m.data(r * numRows + i) * a; r += 1 }
         k += 1
@@ -87,19 +84,41 @@ final class CsrMatrix(
     new DenseMatrix(p, numCols, out)
   }
 
-  def timesScalar(c: Double): CsrMatrix =
-    new CsrMatrix(numRows, numCols, values.map(_ * c), colIdx, rowPtr)
-
   def decode: DenseMatrix = {
     val out = DenseMatrix.zeros(numRows, numCols)
     var i = 0
     while (i < numRows) {
       var k = rowPtr(i)
-      while (k < rowPtr(i + 1)) { out(i, colIdx(k)) = values(k); k += 1 }
+      while (k < rowPtr(i + 1)) { out(i, colIdx(k)) = value(k); k += 1 }
       i += 1
     }
     out
   }
+}
+
+/** CSR (§5 "Compared Methods" #2): compressed sparse row — per row only
+  * the non-zero values (float64) and their column indexes (int32).
+  *
+  * Layout: `int32 numRows | int32 numCols | rowPtr int32s | colIdx int32s
+  * | values float64s`.
+  */
+final class CsrMatrix(
+    numRows: Int,
+    numCols: Int,
+    val values: Array[Double],
+    colIdx: Array[Int],
+    rowPtr: Array[Int]
+) extends SparseRowMatrix(numRows, numCols, colIdx, rowPtr) {
+
+  protected def value(k: Int): Double = values(k)
+
+  def sizeBytes: Long = 8L + 8L * values.length + 4L * colIdx.length + 4L * rowPtr.length
+  def encoder: MatrixEncoder = CsrEncoder
+  def toBytes: Array[Byte] =
+    new ByteWriter(sizeBytes).int(numRows).int(numCols).ints(rowPtr).ints(colIdx).doubles(values).result
+
+  def timesScalar(c: Double): CsrMatrix =
+    new CsrMatrix(numRows, numCols, values.map(_ * c), colIdx, rowPtr)
 }
 
 object CsrEncoder extends MatrixEncoder {

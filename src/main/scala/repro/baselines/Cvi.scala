@@ -1,23 +1,24 @@
 package repro.baselines
 
 import repro.core.{BitPacking, ByteReader, ByteWriter, CorruptBatchException, ValueIndex}
-import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
+import repro.linalg.{DenseMatrix, MatrixEncoder}
 
 /** CVI / CSR-VI (§5 "Compared Methods" #3, [Kourtis et al.]): CSR whose
   * non-zero values are dictionary-coded (value indexing, §3.2) with
-  * bit-packed value indexes. Ops resolve values through the dictionary.
+  * bit-packed value indexes. The [[SparseRowMatrix]] kernels resolve values
+  * through the dictionary.
   *
   * Layout: `int32 numRows | int32 numCols | rowPtr int32s | colIdx int32s
   * | int32 dictLen | dict float64s | pack(valIdx)`.
   */
 final class CviMatrix(
-    val numRows: Int,
-    val numCols: Int,
+    numRows: Int,
+    numCols: Int,
     val dict: Array[Double],
     val valIdx: Array[Int],  // per-nonzero dictionary index
-    val colIdx: Array[Int],
-    val rowPtr: Array[Int]
-) extends EncodedMatrix {
+    colIdx: Array[Int],
+    rowPtr: Array[Int]
+) extends SparseRowMatrix(numRows, numCols, colIdx, rowPtr) {
 
   def sizeBytes: Long =
     12L + 8L * dict.length + BitPacking.packedSize(valIdx) +
@@ -27,89 +28,13 @@ final class CviMatrix(
     new ByteWriter(sizeBytes).int(numRows).int(numCols).ints(rowPtr).ints(colIdx)
       .int(dict.length).doubles(dict).packed(valIdx).result
 
-  @inline private def value(k: Int): Double = dict(valIdx(k))
-
-  def timesVector(v: Array[Double]): Array[Double] = {
-    require(v.length == numCols)
-    val out = new Array[Double](numRows)
-    var i = 0
-    while (i < numRows) {
-      var s = 0.0
-      var k = rowPtr(i)
-      while (k < rowPtr(i + 1)) { s += value(k) * v(colIdx(k)); k += 1 }
-      out(i) = s
-      i += 1
-    }
-    out
-  }
-
-  def vectorTimes(v: Array[Double]): Array[Double] = {
-    require(v.length == numRows)
-    val out = new Array[Double](numCols)
-    var i = 0
-    while (i < numRows) {
-      val vi = v(i)
-      if (vi != 0.0) {
-        var k = rowPtr(i)
-        while (k < rowPtr(i + 1)) { out(colIdx(k)) += vi * value(k); k += 1 }
-      }
-      i += 1
-    }
-    out
-  }
-
-  def timesMatrix(m: DenseMatrix): DenseMatrix = {
-    require(m.rows == numCols)
-    val p = m.cols
-    val out = new Array[Double](numRows * p)
-    var i = 0
-    while (i < numRows) {
-      var k = rowPtr(i)
-      while (k < rowPtr(i + 1)) {
-        val a = value(k); val mBase = colIdx(k) * p; val oBase = i * p
-        var j = 0
-        while (j < p) { out(oBase + j) += a * m.data(mBase + j); j += 1 }
-        k += 1
-      }
-      i += 1
-    }
-    new DenseMatrix(numRows, p, out)
-  }
-
-  def leftTimes(m: DenseMatrix): DenseMatrix = {
-    require(m.cols == numRows)
-    val p = m.rows
-    val out = new Array[Double](p * numCols)
-    var i = 0
-    while (i < numRows) {
-      var k = rowPtr(i)
-      while (k < rowPtr(i + 1)) {
-        val a = value(k); val c = colIdx(k)
-        var r = 0
-        while (r < p) { out(r * numCols + c) += m.data(r * numRows + i) * a; r += 1 }
-        k += 1
-      }
-      i += 1
-    }
-    new DenseMatrix(p, numCols, out)
-  }
+  protected def value(k: Int): Double = dict(valIdx(k))
 
   /** Sparse-safe scalar multiply: scale the dictionary only (why value
     * indexing makes `A.*c` fast — §5.2).
     */
   def timesScalar(c: Double): CviMatrix =
     new CviMatrix(numRows, numCols, dict.map(_ * c), valIdx, colIdx, rowPtr)
-
-  def decode: DenseMatrix = {
-    val out = DenseMatrix.zeros(numRows, numCols)
-    var i = 0
-    while (i < numRows) {
-      var k = rowPtr(i)
-      while (k < rowPtr(i + 1)) { out(i, colIdx(k)) = value(k); k += 1 }
-      i += 1
-    }
-    out
-  }
 }
 
 object CviEncoder extends MatrixEncoder {

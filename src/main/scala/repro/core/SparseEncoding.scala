@@ -28,15 +28,4 @@ object SparseEncoder {
   /** Encode the full table `A` → `B`. */
   def encode(a: DenseMatrix): Array[Array[ColValue]] =
     Array.tabulate(a.rows)(i => encodeRow(a.row(i)))
-
-  /** Decode `B` back to `A` given the column count. */
-  def decode(b: Array[Array[ColValue]], cols: Int): DenseMatrix = {
-    val m = DenseMatrix.zeros(b.length, cols)
-    var i = 0
-    while (i < b.length) {
-      b(i).foreach(cv => m(i, cv.col) = cv.value)
-      i += 1
-    }
-    m
-  }
 }

@@ -120,14 +120,6 @@ object DenseMatrix {
   def zeros(rows: Int, cols: Int): DenseMatrix =
     new DenseMatrix(rows, cols, new Array[Double](rows * cols))
 
-  /** Build from a row-of-rows literal (test convenience). */
-  def fromRows(rs: Seq[Seq[Double]]): DenseMatrix = {
-    val rows = rs.size
-    val cols = if (rows == 0) 0 else rs.head.size
-    require(rs.forall(_.size == cols), "ragged rows")
-    new DenseMatrix(rows, cols, rs.flatten.toArray)
-  }
-
   /** Deterministic pseudo-random matrix (test convenience). */
   def rand(rows: Int, cols: Int, seed: Long, sparsity: Double = 1.0): DenseMatrix = {
     val rng = new scala.util.Random(seed)

@@ -10,10 +10,6 @@ object Encodings {
     Seq(TocEncoder, DenEncoder, CsrEncoder, CviEncoder, DviEncoder, ClaEncoder,
         SnappyEncoder, GzipEncoder)
 
-  /** The subset with decompression-free matrix ops (LMC + TOC). */
-  val directExecution: Seq[MatrixEncoder] =
-    Seq(TocEncoder, DenEncoder, CsrEncoder, CviEncoder, DviEncoder, ClaEncoder)
-
   def byName(name: String): MatrixEncoder =
     all.find(_.name.equalsIgnoreCase(name))
       .getOrElse(throw new IllegalArgumentException(

@@ -2,21 +2,27 @@ package repro.mgd
 
 import MathOps._
 
-/** Logistic regression with logistic loss (§2.1.4 / §5.3).
-  *
-  * Gradient per batch: `u = (σ(A·w) − y)/n`, `∇ = u·A` — one right
-  * multiplication and one left multiplication on the compressed batch,
-  * exactly Table 1's op profile for LR.
+/** A linear model trained by MGD with Table 1's op profile for LR and
+  * SVM: per batch `z = A·w`, `u(i) = rowGrad(z(i), y(i))/n`, `∇ = u·A` —
+  * one right multiplication and one left multiplication on the
+  * compressed batch. LR and SVM differ only in the per-row loss and its
+  * derivative with respect to `z`.
   */
-final class LogisticRegression(val dim: Int, seed: Long = 42) extends Model {
+abstract class LinearModel(val dim: Int, seed: Long) extends Model {
   var w: Array[Double] = LinearInit.smallRandom(dim, seed)
+
+  /** Numerator of `u(i)`: the per-row loss's derivative in `z`, for label `y`. */
+  protected def rowGrad(z: Double, y: Double): Double
+
+  /** Per-row loss at score `z` for label `y`. */
+  protected def rowLoss(z: Double, y: Double): Double
 
   def step(batch: MiniBatch, lr: Double): Unit = {
     val n = batch.size
     val z = batch.x.timesVector(w)                     // A·v
     val u = new Array[Double](n)
     var i = 0
-    while (i < n) { u(i) = (sigmoid(z(i)) - batch.y(i)) / n; i += 1 }
+    while (i < n) { u(i) = rowGrad(z(i), batch.y(i)) / n; i += 1 }
     val g = batch.x.vectorTimes(u)                     // v·A
     var j = 0
     while (j < dim) { w(j) -= lr * g(j); j += 1 }
@@ -26,16 +32,22 @@ final class LogisticRegression(val dim: Int, seed: Long = 42) extends Model {
     val z = batch.x.timesVector(w)
     var s = 0.0
     var i = 0
-    while (i < batch.size) {
-      val y = batch.y(i)
-      s += -(y * logSigmoid(z(i)) + (1 - y) * logSigmoid(-z(i)))
-      i += 1
-    }
+    while (i < batch.size) { s += rowLoss(z(i), batch.y(i)); i += 1 }
     s / batch.size
   }
 
   def params: Array[Double] = w.clone()
   def setParams(p: Array[Double]): Unit = { require(p.length == dim); w = p.clone() }
+}
+
+/** Logistic regression with logistic loss (§2.1.4 / §5.3):
+  * `u = (σ(A·w) − y)/n`.
+  */
+final class LogisticRegression(dim: Int, seed: Long = 42) extends LinearModel(dim, seed) {
+  protected def rowGrad(z: Double, y: Double): Double = sigmoid(z) - y
+  protected def rowLoss(z: Double, y: Double): Double =
+    -(y * logSigmoid(z) + (1 - y) * logSigmoid(-z))
+
   def copyModel: LogisticRegression = {
     val m = new LogisticRegression(dim); m.w = w.clone(); m
   }
@@ -44,40 +56,15 @@ final class LogisticRegression(val dim: Int, seed: Long = 42) extends Model {
 /** Linear support vector machine with hinge loss (§5.3).
   *
   * Subgradient per batch: rows with margin `y·(x·w) < 1` contribute
-  * `−y·x/n`; assembled as a single `u·A` left multiplication.
+  * `−y·x/n`, labels `{0,1}` read as `{−1,+1}`.
   */
-final class Svm(val dim: Int, seed: Long = 43) extends Model {
-  var w: Array[Double] = LinearInit.smallRandom(dim, seed)
-
-  def step(batch: MiniBatch, lr: Double): Unit = {
-    val n = batch.size
-    val z = batch.x.timesVector(w)                     // A·v
-    val u = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      val ys = 2 * batch.y(i) - 1                      // {0,1} → {−1,+1}
-      if (ys * z(i) < 1) u(i) = -ys / n
-      i += 1
-    }
-    val g = batch.x.vectorTimes(u)                     // v·A
-    var j = 0
-    while (j < dim) { w(j) -= lr * g(j); j += 1 }
+final class Svm(dim: Int, seed: Long = 43) extends LinearModel(dim, seed) {
+  protected def rowGrad(z: Double, y: Double): Double = {
+    val ys = 2 * y - 1
+    if (ys * z < 1) -ys else 0.0
   }
+  protected def rowLoss(z: Double, y: Double): Double = math.max(0.0, 1.0 - (2 * y - 1) * z)
 
-  def loss(batch: MiniBatch): Double = {
-    val z = batch.x.timesVector(w)
-    var s = 0.0
-    var i = 0
-    while (i < batch.size) {
-      val ys = 2 * batch.y(i) - 1
-      s += math.max(0.0, 1.0 - ys * z(i))
-      i += 1
-    }
-    s / batch.size
-  }
-
-  def params: Array[Double] = w.clone()
-  def setParams(p: Array[Double]): Unit = { require(p.length == dim); w = p.clone() }
   def copyModel: Svm = { val m = new Svm(dim); m.w = w.clone(); m }
 }
 
@@ -106,11 +93,12 @@ final class OneVsRest(val k: Int, mk: Int => Model) extends Model {
 
   def params: Array[Double] = models.flatMap(_.params)
   def setParams(p: Array[Double]): Unit = {
+    val sizes = models.map(_.params.length)
+    require(p.length == sizes.sum, s"param length mismatch: ${p.length} vs ${sizes.sum}")
     var off = 0
-    models.foreach { m =>
-      val d = m.params.length
-      m.setParams(java.util.Arrays.copyOfRange(p, off, off + d))
-      off += d
+    models.indices.foreach { c =>
+      models(c).setParams(java.util.Arrays.copyOfRange(p, off, off + sizes(c)))
+      off += sizes(c)
     }
   }
   def copyModel: OneVsRest = {

@@ -1,13 +1,13 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.DenseMatrix
+import repro.linalg.{DenseMatrix, TestMatrices}
 
 /** Per-scheme structural checks beyond the shared conformance suite. */
 class SchemeSpecificSpec extends AnyFunSuite {
 
   test("CSR stores exactly the non-zeros with correct row pointers") {
-    val a = DenseMatrix.fromRows(Seq(
+    val a = TestMatrices.fromRows(Seq(
       Seq(0.0, 2.0, 0.0), Seq(1.0, 0.0, 3.0), Seq(0.0, 0.0, 0.0)))
     val c = CsrEncoder.encode(a)
     assert(c.values.toSeq == Seq(2.0, 1.0, 3.0))
@@ -16,7 +16,7 @@ class SchemeSpecificSpec extends AnyFunSuite {
   }
 
   test("CVI dictionary holds distinct non-zero values only") {
-    val a = DenseMatrix.fromRows(Seq(Seq(0.5, 0.0, 0.5), Seq(0.25, 0.5, 0.0)))
+    val a = TestMatrices.fromRows(Seq(Seq(0.5, 0.0, 0.5), Seq(0.25, 0.5, 0.0)))
     val c = CviEncoder.encode(a)
     assert(c.dict.toSeq == Seq(0.5, 0.25))
     assert(c.valIdx.toSeq == Seq(0, 0, 1, 0))
@@ -30,7 +30,7 @@ class SchemeSpecificSpec extends AnyFunSuite {
   }
 
   test("DVI dictionary includes zero for sparse data") {
-    val a = DenseMatrix.fromRows(Seq(Seq(0.0, 1.0), Seq(1.0, 0.0)))
+    val a = TestMatrices.fromRows(Seq(Seq(0.0, 1.0), Seq(1.0, 0.0)))
     val d = DviEncoder.encode(a)
     assert(d.dict.toSet == Set(0.0, 1.0))
     assert(d.cells.length == 4)

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.linalg.DenseMatrix
+import repro.linalg.{DenseMatrix, TestMatrices}
 
 /** Shared fixture: the paper's Figure 3 running example. */
 object Fig3 {
@@ -12,7 +12,7 @@ object Fig3 {
     Array(ColValue(1, 1.1), ColValue(2, 2.0)))
 
   /** The original dense table A (0-based columns, as a matrix). */
-  def tableA: DenseMatrix = DenseMatrix.fromRows(Seq(
+  def tableA: DenseMatrix = TestMatrices.fromRows(Seq(
     Seq(1.1, 2.0, 3.0, 1.4),
     Seq(1.1, 2.0, 3.0, 0.0),
     Seq(0.0, 1.1, 3.0, 1.4),

@@ -1,12 +1,12 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.DenseMatrix
+import repro.linalg.{DenseMatrix, TestMatrices}
 
 class SparseEncodingSpec extends AnyFunSuite {
 
   /** The original table A of Figure 3 (0-based columns internally). */
-  val figure3A: DenseMatrix = DenseMatrix.fromRows(Seq(
+  val figure3A: DenseMatrix = TestMatrices.fromRows(Seq(
     Seq(1.1, 2.0, 3.0, 1.4),
     Seq(1.1, 2.0, 3.0, 0.0),
     Seq(0.0, 1.1, 3.0, 1.4),
@@ -21,18 +21,18 @@ class SparseEncodingSpec extends AnyFunSuite {
   }
 
   test("encode/decode round-trips Figure 3's table") {
-    assert(SparseEncoder.decode(SparseEncoder.encode(figure3A), 4) == figure3A)
+    assert(TocViews.decodeSparse(SparseEncoder.encode(figure3A), 4) == figure3A)
   }
 
   test("all-zero rows encode to empty pair sequences") {
     val m = DenseMatrix.zeros(3, 5)
     val b = SparseEncoder.encode(m)
     assert(b.forall(_.isEmpty))
-    assert(SparseEncoder.decode(b, 5) == m)
+    assert(TocViews.decodeSparse(b, 5) == m)
   }
 
   test("fully dense rows keep every column") {
-    val m = DenseMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(3.0, 4.0)))
+    val m = TestMatrices.fromRows(Seq(Seq(1.0, 2.0), Seq(3.0, 4.0)))
     assert(SparseEncoder.encode(m).forall(_.length == 2))
   }
 
@@ -47,7 +47,7 @@ class SparseEncodingSpec extends AnyFunSuite {
   test("randomized round-trip over varying sparsity") {
     for (sp <- Seq(0.0, 0.05, 0.3, 0.7, 1.0); seed <- 1 to 5) {
       val m = DenseMatrix.rand(17, 23, seed, sp)
-      assert(SparseEncoder.decode(SparseEncoder.encode(m), 23) == m, s"sp=$sp seed=$seed")
+      assert(TocViews.decodeSparse(SparseEncoder.encode(m), 23) == m, s"sp=$sp seed=$seed")
     }
   }
 }

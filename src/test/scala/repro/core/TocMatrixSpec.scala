@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.DenseMatrix
+import repro.linalg.{DenseMatrix, TestMatrices}
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
 
@@ -93,7 +93,7 @@ class TocMatrixSpec extends AnyFunSuite {
 
   test("a NaN column compresses like any repeated value, and round-trips bit-exact") {
     // Column 0 holds one value in every row; columns 1-3 are constant too.
-    def batch(v: Double) = DenseMatrix.fromRows(Seq.fill(100)(Seq(v, 1.0, 2.0, 3.0)))
+    def batch(v: Double) = TestMatrices.fromRows(Seq.fill(100)(Seq(v, 1.0, 2.0, 3.0)))
     val nan = TocEncoder.encode(batch(Double.NaN))
     val plain = TocEncoder.encode(batch(1.5))
     assert(nan.physical.iCols.length == 4)

@@ -1,8 +1,10 @@
 package repro.core
 
+import repro.linalg.DenseMatrix
+
 /** Test-side views of TOC's structures that the kernels never build: `I`
   * as pairs, `D` as per-tuple code rows, `C'` keys and node sequences, and
-  * the pair-level reference decoder.
+  * the pair-level reference decoders.
   */
 object TocViews {
 
@@ -56,5 +58,16 @@ object TocViews {
   def decode(enc: LogicalEncoded): Array[Array[ColValue]] = {
     val c = tree(enc)
     enc.d.map(_.flatMap(c.sequence))
+  }
+
+  /** Decode §3's sparse table `B` back to `A` given the column count. */
+  def decodeSparse(b: Array[Array[ColValue]], cols: Int): DenseMatrix = {
+    val m = DenseMatrix.zeros(b.length, cols)
+    var i = 0
+    while (i < b.length) {
+      b(i).foreach(cv => m(i, cv.col) = cv.value)
+      i += 1
+    }
+    m
   }
 }

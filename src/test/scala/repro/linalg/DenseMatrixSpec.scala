@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class DenseMatrixSpec extends AnyFunSuite {
 
-  val a = DenseMatrix.fromRows(Seq(Seq(1.0, 2.0, 3.0), Seq(4.0, 5.0, 6.0)))
+  val a = TestMatrices.fromRows(Seq(Seq(1.0, 2.0, 3.0), Seq(4.0, 5.0, 6.0)))
 
   test("shape validation rejects mismatched data") {
     intercept[IllegalArgumentException](new DenseMatrix(2, 2, Array(1.0)))
@@ -31,12 +31,12 @@ class DenseMatrixSpec extends AnyFunSuite {
   }
 
   test("timesMatrix against a hand computation") {
-    val m = DenseMatrix.fromRows(Seq(Seq(1.0, 0.0), Seq(0.0, 1.0), Seq(1.0, 1.0)))
+    val m = TestMatrices.fromRows(Seq(Seq(1.0, 0.0), Seq(0.0, 1.0), Seq(1.0, 1.0)))
     assert(a.timesMatrix(m).data.toSeq == Seq(4.0, 5.0, 10.0, 11.0))
   }
 
   test("leftTimes is m·this") {
-    val m = DenseMatrix.fromRows(Seq(Seq(1.0, 1.0)))
+    val m = TestMatrices.fromRows(Seq(Seq(1.0, 1.0)))
     assert(a.leftTimes(m).data.toSeq == Seq(5.0, 7.0, 9.0))
   }
 
@@ -61,7 +61,7 @@ class DenseMatrixSpec extends AnyFunSuite {
   test("sparsity measure") {
     assert(DenseMatrix.zeros(3, 3).sparsity == 0.0)
     assert(a.sparsity == 1.0)
-    assert(DenseMatrix.fromRows(Seq(Seq(0.0, 1.0))).sparsity == 0.5)
+    assert(TestMatrices.fromRows(Seq(Seq(0.0, 1.0))).sparsity == 0.5)
   }
 
   test("rand respects the sparsity knob roughly") {

@@ -14,10 +14,4 @@ class EncodingsSpec extends AnyFunSuite {
     assert(Encodings.byName("GZIP").name == "Gzip")
     intercept[IllegalArgumentException](Encodings.byName("lz4"))
   }
-
-  test("directExecution excludes the general compression schemes") {
-    val names = Encodings.directExecution.map(_.name)
-    assert(!names.contains("Snappy") && !names.contains("Gzip"))
-    assert(names.contains("TOC") && names.contains("CLA"))
-  }
 }

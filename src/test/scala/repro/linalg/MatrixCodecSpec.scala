@@ -18,7 +18,7 @@ class MatrixCodecSpec extends AnyFunSuite {
     }
 
   /** Signed zeros, an infinity, a subnormal and two NaN payloads. */
-  val special = DenseMatrix.fromRows(Seq(
+  val special = TestMatrices.fromRows(Seq(
     Seq(0.0, -0.0, 1.5),
     Seq(-0.0, Double.PositiveInfinity, Double.MinPositiveValue),
     Seq(Double.NaN, java.lang.Double.longBitsToDouble(0x7ff8000000000001L), Double.NaN)))

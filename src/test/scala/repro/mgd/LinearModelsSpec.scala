@@ -1,14 +1,18 @@
 package repro.mgd
 
+import java.nio.ByteBuffer
+import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.DenEncoder
-import repro.linalg.{DenseMatrix, Encodings}
+import repro.core.TocEncoder
+import repro.data.Datasets
+import repro.linalg.{DenseMatrix, Encodings, TestMatrices}
 
 class LinearModelsSpec extends AnyFunSuite {
 
   /** A linearly separable toy batch. */
   def toyBatch(encoderName: String = "DEN"): MiniBatch = {
-    val x = DenseMatrix.fromRows(Seq(
+    val x = TestMatrices.fromRows(Seq(
       Seq(1.0, 2.0), Seq(2.0, 1.0), Seq(-1.0, -2.0), Seq(-2.0, -1.0),
       Seq(1.5, 1.5), Seq(-1.5, -1.5)))
     val y = Array(1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
@@ -90,7 +94,7 @@ class LinearModelsSpec extends AnyFunSuite {
   }
 
   test("OneVsRest trains k independent binary models") {
-    val x = DenseMatrix.fromRows(Seq(
+    val x = TestMatrices.fromRows(Seq(
       Seq(2.0, 0.0), Seq(0.0, 2.0), Seq(-2.0, -2.0),
       Seq(2.2, 0.1), Seq(0.1, 2.2), Seq(-2.1, -1.9)))
     val y = Array(0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
@@ -104,5 +108,40 @@ class LinearModelsSpec extends AnyFunSuite {
     assert(c.params.toSeq == m.params.toSeq)
     c.setParams(Array.fill(6)(0.0))
     assert(m.params.exists(_ != 0.0))
+  }
+
+  test("OneVsRest.setParams rejects a vector of the wrong length") {
+    val m = new OneVsRest(3, _ => new LogisticRegression(2))
+    val before = m.params
+    intercept[IllegalArgumentException](m.setParams(Array.fill(5)(1.0)))
+    intercept[IllegalArgumentException](m.setParams(Array.fill(7)(1.0)))
+    assert(m.params.toSeq == before.toSeq)
+    m.setParams(Array.fill(6)(1.0))
+    assert(m.params.toSeq == Seq.fill(6)(1.0))
+  }
+
+  test("LR, SVM and one-vs-rest LR after 10 steps on a TOC batch (pinned SHA-256 of raw bits)") {
+    def sha(p: Array[Double]): String = {
+      val buf = ByteBuffer.allocate(8 * p.length)
+      p.foreach(d => buf.putLong(java.lang.Double.doubleToRawLongBits(d)))
+      MessageDigest.getInstance("SHA-256").digest(buf.array).map("%02x".format(_)).mkString
+    }
+    val (cx, cy) = Datasets.slice(Datasets.census, 0, 250)
+    val (mx, my) = Datasets.slice(Datasets.mnist, 0, 250)
+    val census = MiniBatch(TocEncoder.encode(cx), cy)
+    val mnist = MiniBatch(TocEncoder.encode(mx), my)
+    // Model → SHA-256 of its parameters followed by its loss, taken before
+    // LR and SVM shared the LinearModel base class.
+    val pinned = Seq(
+      ("LR", new LogisticRegression(cx.cols), census,
+        "41008b0e7ff116b0f73f75644c19e0bc279e205c9163e829969a3267ace8ce6f"),
+      ("SVM", new Svm(cx.cols), census,
+        "598025f3678d16c4ecea4492bf1c6233ee64000dd6251406a7a55f0873886e9c"),
+      ("OvR LR", new OneVsRest(10, _ => new LogisticRegression(mx.cols)), mnist,
+        "58b519a084b9366c67b331c63b0d059c91a00f44802955ca3a60f1d2f65f6d22"))
+    for ((label, m, b, want) <- pinned) {
+      (1 to 10).foreach(_ => m.step(b, 0.1))
+      assert(sha(m.params :+ m.loss(b)) == want, label)
+    }
   }
 }
