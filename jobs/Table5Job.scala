@@ -14,7 +14,7 @@ import repro.sparkml.SparkMiniBatch
   */
 object Table5Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("toc-table5")
+    val spark = SparkSession.builder().appName("toc-table5")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       BenchUtil.report("Table 5 — dataset statistics (paper vs analogs)",

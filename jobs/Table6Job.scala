@@ -10,7 +10,7 @@ import repro.data.Datasets
   */
 object Table6Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("toc-table6")
+    val spark = SparkSession.builder().appName("toc-table6")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

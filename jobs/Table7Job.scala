@@ -9,7 +9,7 @@ import repro.data.Datasets
   */
 object Table7Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("toc-table7")
+    val spark = SparkSession.builder().appName("toc-table7")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -16,7 +16,7 @@ import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
   * Layout: `int32 numRows | int32 numCols | compressed DEN payload`. The
   * payload is checked when it is decompressed, which every op does.
   */
-abstract class GeneralCompressedMatrix(
+final class GeneralCompressedMatrix(
     val encoder: GeneralCompression,
     val numRows: Int,
     val numCols: Int,
@@ -56,21 +56,16 @@ abstract class GeneralCompression extends MatrixEncoder {
   /** Decompresses to at most `length` + 1 bytes. */
   def decompress(bytes: Array[Byte], length: Int): Array[Byte]
 
-  protected def wrap(rows: Int, cols: Int, compressed: Array[Byte]): GeneralCompressedMatrix
-
   def encode(batch: DenseMatrix): GeneralCompressedMatrix =
-    wrap(batch.rows, batch.cols, compress(GeneralCompressedMatrix.serializeDen(batch)))
+    new GeneralCompressedMatrix(this, batch.rows, batch.cols, compress(GeneralCompressedMatrix.serializeDen(batch)))
 
   def fromBytes(bytes: Array[Byte]): GeneralCompressedMatrix = {
     val r = new ByteReader(bytes)
     val rows = r.count(); val cols = r.count()
     CorruptBatchException.check(rows.toLong * cols <= Int.MaxValue / 8, s"$rows x $cols does not fit an array")
-    wrap(rows, cols, r.rest())
+    new GeneralCompressedMatrix(this, rows, cols, r.rest())
   }
 }
-
-final class GzipMatrix(rows: Int, cols: Int, bytes: Array[Byte])
-    extends GeneralCompressedMatrix(GzipEncoder, rows, cols, bytes)
 
 object GzipEncoder extends GeneralCompression {
   val name = "Gzip"
@@ -84,11 +79,7 @@ object GzipEncoder extends GeneralCompression {
     val in = new GZIPInputStream(new ByteArrayInputStream(bytes))
     try in.readNBytes(length + 1) finally in.close()
   }
-  protected def wrap(rows: Int, cols: Int, compressed: Array[Byte]) = new GzipMatrix(rows, cols, compressed)
 }
-
-final class SnappyMatrix(rows: Int, cols: Int, bytes: Array[Byte])
-    extends GeneralCompressedMatrix(SnappyEncoder, rows, cols, bytes)
 
 object SnappyEncoder extends GeneralCompression {
   val name = "Snappy"
@@ -98,5 +89,4 @@ object SnappyEncoder extends GeneralCompression {
     CorruptBatchException.check(claimed == length, s"Snappy payload claims $claimed bytes, not $length")
     Snappy.uncompress(bytes)
   }
-  protected def wrap(rows: Int, cols: Int, compressed: Array[Byte]) = new SnappyMatrix(rows, cols, compressed)
 }

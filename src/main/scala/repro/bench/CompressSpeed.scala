@@ -14,8 +14,11 @@ object CompressSpeed {
 
   val methods: Seq[String] = Seq("Snappy", "Gzip", "TOC")
 
-  def benchDataset(spec: DatasetSpec, batchRows: Int = 250, reps: Int = 10): Seq[Row] = {
-    val (x, _) = Datasets.slice(spec, 0, batchRows)
+  val BatchRows: Int = 250
+  val Reps: Int = 10
+
+  def benchDataset(spec: DatasetSpec): Seq[Row] = {
+    val (x, _) = Datasets.slice(spec, 0, BatchRows)
     methods.map { name =>
       val enc = Encodings.byName(name)
       val compressed = enc.encode(x)
@@ -28,8 +31,8 @@ object CompressSpeed {
         case other => () => other
       }
       Row(spec.name, name,
-        compressSec = BenchUtil.bestOfSec(reps)(enc.encode(x)),
-        decompressSec = BenchUtil.bestOfSec(reps)(mk().decode))
+        compressSec = BenchUtil.bestOfSec(Reps)(enc.encode(x)),
+        decompressSec = BenchUtil.bestOfSec(Reps)(mk().decode))
     }
   }
 

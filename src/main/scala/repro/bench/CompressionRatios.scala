@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.core.TocEncoder
 import repro.data.{DatasetSpec, Datasets}
-import repro.linalg.{DenseMatrix, Encodings}
+import repro.linalg.Encodings
 
 /** §5.1 harness: compression ratios of every method on mini-batches of
   * the paper's sizes (Figure 5) plus the TOC ablation variants
@@ -13,12 +13,13 @@ object CompressionRatios {
 
   final case class Row(dataset: String, method: String, batchRows: Int, ratio: Double)
 
-  val paperBatchSizes: Seq[Int] = Seq(50, 100, 150, 200, 250)
+  /** Consecutive batches each ratio is averaged over. */
+  val NumBatches: Int = 4
 
-  /** Mean compression ratio of `method` over `numBatches` sampled batches. */
-  def ratioFor(spec: DatasetSpec, batchRows: Int, method: String, numBatches: Int = 4): Double = {
+  /** Mean compression ratio of `method` over [[NumBatches]] sampled batches. */
+  def ratioFor(spec: DatasetSpec, batchRows: Int, method: String): Double = {
     val enc = Encodings.byName(method)
-    val ratios = (0 until numBatches).map { b =>
+    val ratios = (0 until NumBatches).map { b =>
       val (x, _) = Datasets.slice(spec, b.toLong * batchRows, batchRows)
       x.denSizeBytes.toDouble / enc.encode(x).sizeBytes
     }

@@ -17,7 +17,7 @@ import repro.sparkml.{SparkMgd, SparkMiniBatch}
   *
   * Scaling substitution (DESIGN.md §4): compute is *measured* at the
   * analog scale (`smallRows`); the paper's 25x-larger variant is modeled
-  * as `measured compute x largeScale` (per-epoch compute is linear in
+  * as `measured compute x LargeScale` (per-epoch compute is linear in
   * batch count) plus IO from [[StorageSim]]. The memory budget is set
   * between the TOC-encoded size and the smallest LMC-encoded size at
   * large scale — the configuration §5.3 states in prose ("only
@@ -33,20 +33,21 @@ object EndToEnd {
   /** The in-system rows (Bismarck analog): Spark per-partition MGD. */
   val sparkMethods: Seq[String] = Seq("TOC", "DEN", "CSR")
 
-  final case class Config(
-      spec: DatasetSpec,
-      smallRows: Int,
-      largeScale: Int = 25,
-      batchSize: Int = 250,
-      epochs: Int = 2,
-      lr: Double = 0.05,
-      // The paper's machine pairs a ~150 MB/s disk with multithreaded C++
-      // kernels ~7x faster than our single-thread JVM kernels (derived
-      // from their Imagenet1m NN per-row time); the simulated disk is
-      // scaled by the same factor so the IO:compute proportion of the
-      // paper's machine is preserved (EXPERIMENTS.md, methodology).
-      diskMbPerSec: Double = 20.0,
-      sparkPartitions: Int = 8)
+  /** The paper's large variant has 25x the rows of the small one. */
+  val LargeScale: Int = 25
+  val BatchSize: Int = 250
+  val Epochs: Int = 2
+  val LearningRate: Double = 0.05
+  /** The paper's machine pairs a ~150 MB/s disk with multithreaded C++
+    * kernels ~7x faster than our single-thread JVM kernels (derived from
+    * their Imagenet1m NN per-row time); the simulated disk is scaled by
+    * the same factor so the IO:compute proportion of the paper's machine
+    * is preserved (EXPERIMENTS.md, methodology).
+    */
+  val DiskMbPerSec: Double = 20.0
+  val SparkPartitions: Int = 8
+
+  final case class Config(spec: DatasetSpec, smallRows: Int)
 
   final case class Cell(computeSec: Double, smallTotalSec: Double, largeTotalSec: Double)
 
@@ -72,17 +73,17 @@ object EndToEnd {
     * (method, measured compute seconds, encoded size) per model kind.
     */
   private def measureLocal(cfg: Config, method: String): (Long, Map[String, Double]) = {
-    val (x, y) = Datasets.local(cfg.spec, cfg.smallRows)
-    val batches = Mgd.makeBatches(x, y, cfg.batchSize, Encodings.byName(method))
+    val (x, y) = Datasets.slice(cfg.spec, 0, cfg.smallRows)
+    val batches = Mgd.makeBatches(x, y, BatchSize, Encodings.byName(method))
     val encodedBytes = batches.map(b => b.x.sizeBytes + 8L * b.size).sum
     val times = Seq("NN", "LR", "SVM").map { kind =>
       // Warm the kernel paths on a throwaway model, then measure with a
       // settled heap — keeps JIT/GC order effects out of the table rows.
       val warm = freshModel(kind, cfg.spec)
-      batches.take(2).foreach(b => warm.step(b, cfg.lr))
+      batches.take(2).foreach(b => warm.step(b, LearningRate))
       System.gc()
       val model = freshModel(kind, cfg.spec)
-      val (_, sec) = BenchUtil.timeSec(Mgd.train(batches, model, cfg.lr, cfg.epochs))
+      val (_, sec) = BenchUtil.timeSec(Mgd.train(batches, model, LearningRate, Epochs))
       kind -> sec
     }.toMap
     (encodedBytes, times)
@@ -92,13 +93,13 @@ object EndToEnd {
     * train with model averaging; wall time measured per model kind.
     */
   private def measureSpark(cfg: Config, method: String, spark: SparkSession): (Long, Map[String, Double]) = {
-    val df = SparkMiniBatch.generateDf(spark, cfg.spec, cfg.smallRows, cfg.sparkPartitions)
-    val batches = SparkMiniBatch.encodeBatches(df, cfg.batchSize, method).cache()
+    val df = SparkMiniBatch.generateDf(spark, cfg.spec, cfg.smallRows, SparkPartitions)
+    val batches = SparkMiniBatch.encodeBatches(df, BatchSize, method).cache()
     batches.count() // materialize encoding once, like the one-time cost
     val encodedBytes = SparkMiniBatch.encodedSizeBytes(batches)
     val times = Seq("NN", "LR", "SVM").map { kind =>
       val model = freshModel(kind, cfg.spec)
-      val (_, sec) = BenchUtil.timeSec(SparkMgd.train(batches, model, cfg.lr, cfg.epochs))
+      val (_, sec) = BenchUtil.timeSec(SparkMgd.train(batches, model, LearningRate, Epochs))
       kind -> sec
     }.toMap
     batches.unpersist()
@@ -128,21 +129,21 @@ object EndToEnd {
       }
 
     val sizesLargeLocal = measured.collect {
-      case (m, bytes, _) if localMethods.contains(m) => m -> bytes * cfg.largeScale
+      case (m, bytes, _) if localMethods.contains(m) => m -> bytes * LargeScale
     }.toMap
     val budget = memoryBudget(sizesLargeLocal)
     val smallBudget = measured.map(_._2).max * 2 // everything fits at small scale
-    val simLarge = StorageSim(budget, cfg.diskMbPerSec * 1024 * 1024)
-    val simSmall = StorageSim(smallBudget, cfg.diskMbPerSec * 1024 * 1024)
+    val simLarge = StorageSim(budget, DiskMbPerSec * 1024 * 1024)
+    val simSmall = StorageSim(smallBudget, DiskMbPerSec * 1024 * 1024)
 
     val rows = measured.map { case (method, bytes, times) =>
-      val largeBytes = bytes * cfg.largeScale
+      val largeBytes = bytes * LargeScale
       def cell(kind: String): Cell = {
         val compute = times(kind)
         Cell(
           computeSec = compute,
-          smallTotalSec = compute + simSmall.totalIoSeconds(bytes, cfg.epochs),
-          largeTotalSec = compute * cfg.largeScale + simLarge.totalIoSeconds(largeBytes, cfg.epochs))
+          smallTotalSec = compute + simSmall.totalIoSeconds(bytes, Epochs),
+          largeTotalSec = compute * LargeScale + simLarge.totalIoSeconds(largeBytes, Epochs))
       }
       MethodRow(method, bytes, simLarge.fits(largeBytes), cell("NN"), cell("LR"), cell("SVM"))
     }
@@ -161,8 +162,8 @@ object EndToEnd {
         BenchUtil.fmtSec(row.svm.largeTotalSec))
     }
     val cfg = r.config
-    s"dataset=${cfg.spec.name} smallRows=${cfg.smallRows} largeScale=${cfg.largeScale}x " +
-      s"epochs=${cfg.epochs} batch=${cfg.batchSize} memBudget=${BenchUtil.fmtBytes(r.memoryBudgetBytes)}\n" +
+    s"dataset=${cfg.spec.name} smallRows=${cfg.smallRows} largeScale=${LargeScale}x " +
+      s"epochs=$Epochs batch=$BatchSize memBudget=${BenchUtil.fmtBytes(r.memoryBudgetBytes)}\n" +
       BenchUtil.renderTable(header, body)
   }
 

@@ -14,17 +14,21 @@ object MatrixOps {
 
   val ops: Seq[String] = Seq("A.*c", "A.v", "v.A", "A.M", "M.A")
 
-  def benchDataset(spec: DatasetSpec, batchRows: Int = 250, mCols: Int = 20,
-                   methods: Seq[String] = Encodings.all.map(_.name),
-                   reps: Int = 3): Seq[Row] = {
-    val (x, _) = Datasets.slice(spec, 0, batchRows)
-    val v = Array.tabulate(spec.cols)(j => math.sin(j + 1.0))
-    val vLeft = Array.tabulate(batchRows)(i => math.cos(i + 1.0))
-    val m = DenseMatrix.rand(spec.cols, mCols, seed = 7)
-    val mLeft = DenseMatrix.rand(mCols, batchRows, seed = 8)
+  val BatchRows: Int = 250
+  /** Columns `p` of the `M` operands. */
+  val MCols: Int = 20
+  val Reps: Int = 3
 
-    methods.flatMap { name =>
-      val a = Encodings.byName(name).encode(x)
+  def benchDataset(spec: DatasetSpec): Seq[Row] = {
+    val (x, _) = Datasets.slice(spec, 0, BatchRows)
+    val v = Array.tabulate(spec.cols)(j => math.sin(j + 1.0))
+    val vLeft = Array.tabulate(BatchRows)(i => math.cos(i + 1.0))
+    val m = DenseMatrix.rand(spec.cols, MCols, seed = 7)
+    val mLeft = DenseMatrix.rand(MCols, BatchRows, seed = 8)
+
+    Encodings.all.flatMap { enc =>
+      val name = enc.name
+      val a = enc.encode(x)
       // TOC ops are measured from the physical bytes so each op pays the
       // §4.1.1 parse and the Algorithm 2 tree build, exactly the paper's
       // per-op accounting (the in-memory object memoizes C').
@@ -35,11 +39,11 @@ object MatrixOps {
         case other => () => other
       }
       Seq(
-        Row(spec.name, name, "A.*c", BenchUtil.bestOfSec(reps)(mk().timesScalar(1.0001))),
-        Row(spec.name, name, "A.v", BenchUtil.bestOfSec(reps)(mk().timesVector(v))),
-        Row(spec.name, name, "v.A", BenchUtil.bestOfSec(reps)(mk().vectorTimes(vLeft))),
-        Row(spec.name, name, "A.M", BenchUtil.bestOfSec(reps)(mk().timesMatrix(m))),
-        Row(spec.name, name, "M.A", BenchUtil.bestOfSec(reps)(mk().leftTimes(mLeft))))
+        Row(spec.name, name, "A.*c", BenchUtil.bestOfSec(Reps)(mk().timesScalar(1.0001))),
+        Row(spec.name, name, "A.v", BenchUtil.bestOfSec(Reps)(mk().timesVector(v))),
+        Row(spec.name, name, "v.A", BenchUtil.bestOfSec(Reps)(mk().vectorTimes(vLeft))),
+        Row(spec.name, name, "A.M", BenchUtil.bestOfSec(Reps)(mk().timesMatrix(m))),
+        Row(spec.name, name, "M.A", BenchUtil.bestOfSec(Reps)(mk().leftTimes(mLeft))))
     }
   }
 

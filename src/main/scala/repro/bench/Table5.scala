@@ -6,7 +6,7 @@ import repro.data.{DatasetSpec, Datasets}
   * sparsity — for the synthetic analogs, printed next to the paper's
   * values for the real datasets they stand in for.
   *
-  * The analogs run at a reduced row count (`sampleRows`); size is the
+  * The analogs run at a reduced row count ([[SampleRows]]); size is the
   * measured text serialization of the generated sample extrapolated to
   * the analog's full bench row count, mirroring how Table 5 reports the
   * text-format dataset sizes.
@@ -28,10 +28,12 @@ object Table5 {
     "rcv1-like"     -> 30000L,
     "deep1b-like"   -> 30000L)
 
-  def measure(spec: DatasetSpec, sampleRows: Int = 2000): Row = {
-    val (x, y) = Datasets.local(spec, sampleRows)
+  val SampleRows: Int = 2000
+
+  def measure(spec: DatasetSpec): Row = {
+    val (x, y) = Datasets.slice(spec, 0, SampleRows)
     val rowsFull = analogRows(spec.name)
-    val textPerRow = Datasets.textBytes(x, y).toDouble / sampleRows
+    val textPerRow = Datasets.textBytes(x, y).toDouble / SampleRows
     Row(spec, rowsFull, x.sparsity, (textPerRow * rowsFull).toLong)
   }
 

@@ -21,23 +21,22 @@ object BitPacking {
     else 4
   }
 
-  /** Bytes per element of `values`. */
-  def width(values: Array[Int]): Int = bytesPerInt(if (values.isEmpty) 0 else values.max)
+  /** Bytes per element of `values`; rejects a negative element, which
+    * no width can hold.
+    */
+  def width(values: Array[Int]): Int = {
+    var min = 0; var max = 0
+    var i = 0
+    while (i < values.length) {
+      val v = values(i)
+      if (v < min) min = v
+      if (v > max) max = v
+      i += 1
+    }
+    require(min >= 0, s"negative value $min not packable")
+    bytesPerInt(max)
+  }
 
   /** Exact serialized size of `values` including the 5-byte header. */
   def packedSize(values: Array[Int]): Int = 5 + values.length * width(values)
-
-  /** Pack to a standalone byte array. */
-  def pack(values: Array[Int]): Array[Byte] = {
-    require(values.forall(_ >= 0), "negative value not packable")
-    new ByteWriter(packedSize(values)).packed(values).result
-  }
-
-  /** Unpack a standalone packed array. */
-  def unpack(bytes: Array[Byte]): Array[Int] = {
-    val r = new ByteReader(bytes)
-    val out = r.packed()
-    r.end()
-    out
-  }
 }

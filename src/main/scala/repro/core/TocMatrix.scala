@@ -20,15 +20,13 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def sizeBytes: Long = physical.sizeBytes
   def encoder: MatrixEncoder = TocEncoder
 
-  private lazy val cachedTree: DecodeTree = DecodeTree.buildFromPhysical(physical)
-
   /** `C'` (Algorithm 2), memoized per batch instance. */
-  private def buildTree(): DecodeTree = cachedTree
+  private lazy val cachedTree: DecodeTree = DecodeTree.buildFromPhysical(physical)
 
   /** Algorithm 4: `A·v` via `H[i] = key_i · v + H[parent_i]` then one scan of `D`. */
   def timesVector(v: Array[Double]): Array[Double] = {
     require(v.length == numCols)
-    val tree = buildTree()
+    val tree = cachedTree
     val h = new Array[Double](tree.size)
     var i = 1
     while (i < tree.size) {
@@ -54,7 +52,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     */
   def vectorTimes(v: Array[Double]): Array[Double] = {
     require(v.length == numRows)
-    val tree = buildTree()
+    val tree = cachedTree
     val h = new Array[Double](tree.size)
     val tokens = physical.tokens; val starts = physical.rowStarts
     var row = 0
@@ -80,7 +78,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def timesMatrix(m: DenseMatrix): DenseMatrix = {
     require(m.rows == numCols)
     val p = m.cols
-    val tree = buildTree()
+    val tree = cachedTree
     if (tree.size.toLong * p > TocMatrix.HTableBudgetDoubles)
       return timesMatrixByChains(tree, m)
     val h = new Array[Double](tree.size * p)
@@ -118,7 +116,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def leftTimes(m: DenseMatrix): DenseMatrix = {
     require(m.cols == numRows)
     val p = m.rows
-    val tree = buildTree()
+    val tree = cachedTree
     if (tree.size.toLong * p > TocMatrix.HTableBudgetDoubles)
       return leftTimesByChains(tree, m)
     // H stored node-major (the paper's "transposed" layout, §B.2); `m` is
@@ -225,7 +223,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
 
   /** Full decode (Algorithm 6's decode step): backtrack `C'` per code. */
   def decode: DenseMatrix = {
-    val tree = buildTree()
+    val tree = cachedTree
     val out = DenseMatrix.zeros(numRows, numCols)
     val tokens = physical.tokens; val starts = physical.rowStarts
     var row = 0

@@ -93,10 +93,6 @@ object Datasets {
 
   val all: Seq[DatasetSpec] = Seq(census, imagenet, mnist, kdd99, rcv1, deep1b)
 
-  def byName(name: String): DatasetSpec =
-    all.find(s => s.name == name || s.paperName.equalsIgnoreCase(name))
-      .getOrElse(throw new IllegalArgumentException(s"unknown dataset '$name'"))
-
   // ---- generation ----------------------------------------------------------
 
   /** Per-spec derived state (segment variants, value pool, true model) —
@@ -219,10 +215,6 @@ object Datasets {
     }
     (new DenseMatrix(count, spec.cols, data), y)
   }
-
-  /** Materialize the first `numRows` rows locally. */
-  def local(spec: DatasetSpec, numRows: Int): (DenseMatrix, Array[Double]) =
-    slice(spec, 0L, numRows)
 
   /** Bytes of the dataset's text serialization (CSV with the same numeric
     * formatting the generators produce) — Table 5 reports text sizes, so

@@ -43,7 +43,7 @@ abstract class LinearModel(val dim: Int, seed: Long) extends Model {
 /** Logistic regression with logistic loss (§2.1.4 / §5.3):
   * `u = (σ(A·w) − y)/n`.
   */
-final class LogisticRegression(dim: Int, seed: Long = 42) extends LinearModel(dim, seed) {
+final class LogisticRegression(dim: Int) extends LinearModel(dim, seed = 42) {
   protected def rowGrad(z: Double, y: Double): Double = sigmoid(z) - y
   protected def rowLoss(z: Double, y: Double): Double =
     -(y * logSigmoid(z) + (1 - y) * logSigmoid(-z))
@@ -58,7 +58,7 @@ final class LogisticRegression(dim: Int, seed: Long = 42) extends LinearModel(di
   * Subgradient per batch: rows with margin `y·(x·w) < 1` contribute
   * `−y·x/n`, labels `{0,1}` read as `{−1,+1}`.
   */
-final class Svm(dim: Int, seed: Long = 43) extends LinearModel(dim, seed) {
+final class Svm(dim: Int) extends LinearModel(dim, seed = 43) {
   protected def rowGrad(z: Double, y: Double): Double = {
     val ys = 2 * y - 1
     if (ys * z < 1) -ys else 0.0

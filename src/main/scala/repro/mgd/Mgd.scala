@@ -10,6 +10,7 @@ import repro.linalg.{DenseMatrix, MatrixEncoder}
   * of epochs (§5.3 uses 10).
   */
 object Mgd {
+  /** The trained model and the mean loss over all batches after each epoch. */
   final case class TrainResult(model: Model, lossPerEpoch: Seq[Double])
 
   /** Train `model` in place over `batches` for `epochs`. */

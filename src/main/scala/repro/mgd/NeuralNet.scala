@@ -17,20 +17,18 @@ final class NeuralNet(
     val dim: Int,
     val h1: Int,
     val h2: Int,
-    val numClasses: Int, // 2 → single sigmoid output unit; k>2 → softmax
-    seed: Long = 44
+    val numClasses: Int // 2 → single sigmoid output unit; k>2 → softmax
 ) extends Model {
+  import NeuralNet._
+
   val outUnits: Int = if (numClasses <= 2) 1 else numClasses
 
-  var w1: DenseMatrix = NeuralNet.glorot(dim, h1, seed)
+  var w1: DenseMatrix = glorot(dim, h1, Seed)
   var b1: Array[Double] = new Array[Double](h1)
-  var w2: DenseMatrix = NeuralNet.glorot(h1, h2, seed + 1)
+  var w2: DenseMatrix = glorot(h1, h2, Seed + 1)
   var b2: Array[Double] = new Array[Double](h2)
-  var w3: DenseMatrix = NeuralNet.glorot(h2, outUnits, seed + 2)
+  var w3: DenseMatrix = glorot(h2, outUnits, Seed + 2)
   var b3: Array[Double] = new Array[Double](outUnits)
-
-  /** Forward activations for a batch. */
-  private final case class Fwd(hh1: DenseMatrix, hh2: DenseMatrix, out: DenseMatrix)
 
   private def forward(batch: MiniBatch): Fwd = {
     val n = batch.size
@@ -93,18 +91,6 @@ final class NeuralNet(
       var i = 0
       while (i < n) { t(i, batch.y(i).toInt) = 1.0; i += 1 }
       t
-    }
-  }
-
-  /** Predicted class ids (error-rate evaluation, Figure 11 analog). */
-  def predict(batch: MiniBatch): Array[Double] = {
-    val out = forward(batch).out
-    if (outUnits == 1) out.data.map(p => if (p >= 0.5) 1.0 else 0.0)
-    else Array.tabulate(batch.size) { i =>
-      var best = 0; var bv = out(i, 0)
-      var c = 1
-      while (c < outUnits) { if (out(i, c) > bv) { bv = out(i, c); best = c }; c += 1 }
-      best.toDouble
     }
   }
 
@@ -191,6 +177,12 @@ final class NeuralNet(
 }
 
 object NeuralNet {
+  /** Seed of the first layer's initial weights; layer `k` uses `Seed + k - 1`. */
+  private val Seed: Long = 44
+
+  /** Forward activations for a batch. */
+  private final case class Fwd(hh1: DenseMatrix, hh2: DenseMatrix, out: DenseMatrix)
+
   /** Deterministic Glorot-uniform initialization. */
   def glorot(fanIn: Int, fanOut: Int, seed: Long): DenseMatrix = {
     val rng = new scala.util.Random(seed)
@@ -200,6 +192,6 @@ object NeuralNet {
   }
 
   /** The paper's architecture: 200- and 50-neuron hidden layers. */
-  def paper(dim: Int, numClasses: Int, seed: Long = 44): NeuralNet =
-    new NeuralNet(dim, 200, 50, numClasses, seed)
+  def paper(dim: Int, numClasses: Int): NeuralNet =
+    new NeuralNet(dim, 200, 50, numClasses)
 }

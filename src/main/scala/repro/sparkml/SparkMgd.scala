@@ -1,7 +1,7 @@
 package repro.sparkml
 
 import org.apache.spark.sql.Dataset
-import repro.mgd.Model
+import repro.mgd.{Mgd, Model}
 
 /** Distributed MGD over encoded mini-batches (DESIGN.md §3).
   *
@@ -14,8 +14,6 @@ import repro.mgd.Model
   * MGD, which the tests assert.
   */
 object SparkMgd {
-
-  final case class TrainResult(model: Model, lossPerEpoch: Seq[Double])
 
   /** One epoch of per-partition training + parameter averaging. */
   def trainEpoch(batches: Dataset[EncodedBatchRow], model: Model, lr: Double): Model = {
@@ -70,17 +68,18 @@ object SparkMgd {
     lossSum / rowSum
   }
 
-  /** Full training loop: `epochs` rounds of epoch + averaging. */
-  def train(batches: Dataset[EncodedBatchRow], model: Model, lr: Double, epochs: Int,
-            trackLoss: Boolean = false): TrainResult = {
+  /** Full training loop: `epochs` rounds of epoch + averaging, each
+    * followed by the mean loss over all batches, as [[Mgd.train]] records.
+    */
+  def train(batches: Dataset[EncodedBatchRow], model: Model, lr: Double, epochs: Int): Mgd.TrainResult = {
     var cur = model
     val losses = Seq.newBuilder[Double]
     var e = 0
     while (e < epochs) {
       cur = trainEpoch(batches, cur, lr)
-      if (trackLoss) losses += meanLoss(batches, cur)
+      losses += meanLoss(batches, cur)
       e += 1
     }
-    TrainResult(cur, losses.result())
+    Mgd.TrainResult(cur, losses.result())
   }
 }

@@ -12,7 +12,7 @@ import repro.linalg.DenseMatrix
   */
 class OracleMatrixSpec extends SparkSpec {
 
-  lazy val (x, _) = Datasets.local(Datasets.census, 60)
+  lazy val (x, _) = Datasets.slice(Datasets.census, 0, 60)
   lazy val vRight: Array[Double] = Array.tabulate(x.cols)(j => math.sin(j + 1.0))
   lazy val vLeft: Array[Double] = Array.tabulate(x.rows)(i => math.cos(i + 1.0))
 

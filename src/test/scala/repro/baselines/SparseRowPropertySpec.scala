@@ -60,10 +60,10 @@ object SparseRowPropertySpec {
   def dense(rows: Int, cols: Int): Gen[DenseMatrix] =
     vec(rows * cols).map(new DenseMatrix(rows, cols, _))
 
-  /** 0-row and 1-row batches, and rows that are left empty. */
+  /** 0-row, 0-column and 1-row batches, and rows that are left empty. */
   val cases: Gen[Case] = for {
     rows <- Gen.frequency(1 -> Gen.const(0), 1 -> Gen.const(1), 4 -> Gen.choose(2, 12))
-    cols <- Gen.choose(1, 8)
+    cols <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 8))
     data <- Gen.listOfN(rows, Gen.frequency(1 -> Gen.const(new Array[Double](cols)), 3 -> vec(cols)))
     v <- vec(cols)
     u <- vec(rows)

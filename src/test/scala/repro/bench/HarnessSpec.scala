@@ -17,22 +17,20 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("EndToEnd on a tiny config produces all method rows with the fit pattern") {
-    val cfg = EndToEnd.Config(Datasets.kdd99, smallRows = 600, epochs = 1)
-    val res = EndToEnd.run(cfg, spark = None)
+    val res = EndToEnd.run(EndToEnd.Config(Datasets.kdd99, smallRows = 600), spark = None)
     assert(res.rows.map(_.method) == EndToEnd.localMethods)
     val byName = res.rows.map(r => r.method -> r).toMap
     assert(byName("TOC").fitsLarge)
     assert(!byName("CVI").fitsLarge)
     // large totals include the modeled IO for spilling methods
-    val sim = StorageSim(res.memoryBudgetBytes, cfg.diskMbPerSec * 1024 * 1024)
+    val sim = StorageSim(res.memoryBudgetBytes, EndToEnd.DiskMbPerSec * 1024 * 1024)
     val cvi = byName("CVI")
-    val expectedIo = sim.totalIoSeconds(cvi.encodedBytes * cfg.largeScale, cfg.epochs)
-    assert(math.abs(cvi.lr.largeTotalSec - (cvi.lr.computeSec * cfg.largeScale + expectedIo)) < 1e-6)
+    val expectedIo = sim.totalIoSeconds(cvi.encodedBytes * EndToEnd.LargeScale, EndToEnd.Epochs)
+    assert(math.abs(cvi.lr.largeTotalSec - (cvi.lr.computeSec * EndToEnd.LargeScale + expectedIo)) < 1e-6)
   }
 
   test("speedupLarge is the ratio of large totals") {
-    val cfg = EndToEnd.Config(Datasets.kdd99, smallRows = 600, epochs = 1)
-    val res = EndToEnd.run(cfg, spark = None)
+    val res = EndToEnd.run(EndToEnd.Config(Datasets.kdd99, smallRows = 600), spark = None)
     val toc = res.rows.find(_.method == "TOC").get
     val den = res.rows.find(_.method == "DEN").get
     val s = EndToEnd.speedupLarge(res, "DEN", "LR")
@@ -40,7 +38,7 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("Table5.measure extrapolates text size from the sampled rows") {
-    val r = Table5.measure(Datasets.kdd99, sampleRows = 500)
+    val r = Table5.measure(Datasets.kdd99)
     assert(r.analogRows == Table5.analogRows("kdd99-like"))
     assert(r.textBytesAtAnalogScale > 0)
   }

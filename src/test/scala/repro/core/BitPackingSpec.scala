@@ -5,6 +5,15 @@ import java.nio.{ByteBuffer, ByteOrder}
 
 class BitPackingSpec extends AnyFunSuite {
 
+  def pack(values: Array[Int]): Array[Byte] = new ByteWriter(BitPacking.packedSize(values)).packed(values).result
+
+  def unpack(bytes: Array[Byte]): Array[Int] = {
+    val r = new ByteReader(bytes)
+    val out = r.packed()
+    r.end()
+    out
+  }
+
   test("width selection: 1 byte up to 255") {
     assert(BitPacking.bytesPerInt(0) == 1)
     assert(BitPacking.bytesPerInt(1) == 1)
@@ -28,13 +37,21 @@ class BitPackingSpec extends AnyFunSuite {
 
   test("negative values are rejected") {
     intercept[IllegalArgumentException](BitPacking.bytesPerInt(-1))
-    intercept[IllegalArgumentException](BitPacking.pack(Array(3, -2, 1)))
+    intercept[IllegalArgumentException](pack(Array(3, -2, 1)))
+  }
+
+  test("ByteWriter.packed and packedSize reject a negative value below a non-negative maximum") {
+    for (a <- Seq(Array(3, -2, 1), Array(Int.MinValue, 0), Array(-1)))
+      withClue(a.toSeq) {
+        intercept[IllegalArgumentException](BitPacking.packedSize(a))
+        intercept[IllegalArgumentException](new ByteWriter(5 + 4 * a.length).packed(a))
+      }
   }
 
   test("empty array round-trips with a 5-byte header") {
-    val packed = BitPacking.pack(Array.empty[Int])
+    val packed = pack(Array.empty[Int])
     assert(packed.length == 5)
-    assert(BitPacking.unpack(packed).isEmpty)
+    assert(unpack(packed).isEmpty)
   }
 
   test("packed size matches the paper's formula") {
@@ -47,13 +64,13 @@ class BitPackingSpec extends AnyFunSuite {
 
   test("pack produces exactly packedSize bytes") {
     for (arr <- Seq(Array(1, 2, 3), Array(300, 4), Array(1 << 20), Array.fill(100)(7)))
-      assert(BitPacking.pack(arr).length == BitPacking.packedSize(arr))
+      assert(pack(arr).length == BitPacking.packedSize(arr))
   }
 
   test("round-trip at each width boundary") {
     for (max <- Seq(0, 1, 255, 256, 65535, 65536, (1 << 24) - 1, 1 << 24, Int.MaxValue)) {
       val arr = Array(0, max, max / 2, 1)
-      assert(BitPacking.unpack(BitPacking.pack(arr)).toSeq == arr.toSeq, s"max=$max")
+      assert(unpack(pack(arr)).toSeq == arr.toSeq, s"max=$max")
     }
   }
 
@@ -63,7 +80,7 @@ class BitPackingSpec extends AnyFunSuite {
       val n = rng.nextInt(50)
       val bound = Seq(256, 65536, 1 << 24, Int.MaxValue)(rng.nextInt(4))
       val arr = Array.fill(n)(rng.nextInt(bound))
-      assert(BitPacking.unpack(BitPacking.pack(arr)).toSeq == arr.toSeq)
+      assert(unpack(pack(arr)).toSeq == arr.toSeq)
     }
   }
 
@@ -79,6 +96,6 @@ class BitPackingSpec extends AnyFunSuite {
 
   test("a count larger than the bytes left throws CorruptBatchException before allocating") {
     val header = ByteBuffer.allocate(5).order(ByteOrder.LITTLE_ENDIAN).putInt(Int.MaxValue).put(4.toByte).array()
-    intercept[CorruptBatchException](BitPacking.unpack(header))
+    intercept[CorruptBatchException](unpack(header))
   }
 }

@@ -8,9 +8,6 @@ class DatasetsSpec extends AnyFunSuite {
   test("registry: six analogs, one per paper dataset") {
     assert(Datasets.all.map(_.paperName).toSet ==
       Set("US Census", "ImageNet", "Mnist8m", "Kdd99", "Rcv1", "Deep1Billion"))
-    assert(Datasets.byName("kdd99-like") eq Datasets.kdd99)
-    assert(Datasets.byName("Rcv1") eq Datasets.rcv1)
-    intercept[IllegalArgumentException](Datasets.byName("nope"))
   }
 
   test("generation is deterministic: same (spec, rowIndex) → same row") {
@@ -23,8 +20,8 @@ class DatasetsSpec extends AnyFunSuite {
     }
   }
 
-  test("slice(from, count) matches local(n) on the overlap") {
-    val (full, yFull) = Datasets.local(Datasets.kdd99, 50)
+  test("slice(from, count) matches slice(0, n) on the overlap") {
+    val (full, yFull) = Datasets.slice(Datasets.kdd99, 0, 50)
     val (part, yPart) = Datasets.slice(Datasets.kdd99, 20, 10)
     for (i <- 0 until 10) {
       assert(part.row(i).toSeq == full.row(20 + i).toSeq)
@@ -34,14 +31,14 @@ class DatasetsSpec extends AnyFunSuite {
 
   for (spec <- Datasets.all) {
     test(s"${spec.name}: measured sparsity tracks the paper regime (${spec.paperSparsity})") {
-      val (x, _) = Datasets.local(spec, 400)
+      val (x, _) = Datasets.slice(spec, 0, 400)
       val tol = math.max(0.08, spec.paperSparsity * 0.35)
       assert(math.abs(x.sparsity - spec.sparsity) < tol,
         s"measured ${x.sparsity}, spec ${spec.sparsity}")
     }
 
     test(s"${spec.name}: labels lie in [0, numClasses)") {
-      val (_, y) = Datasets.local(spec, 300)
+      val (_, y) = Datasets.slice(spec, 0, 300)
       assert(y.forall(v => v >= 0 && v < math.max(2, spec.numClasses) && v == math.floor(v)))
       // both classes / several classes actually occur
       assert(y.distinct.length >= 2, s"degenerate labels: ${y.distinct.toSeq}")
@@ -50,14 +47,14 @@ class DatasetsSpec extends AnyFunSuite {
 
   test("census/kdd analogs have strong cross-row redundancy (TOC regime)") {
     for (spec <- Seq(Datasets.census, Datasets.kdd99)) {
-      val (x, _) = Datasets.local(spec, 250)
+      val (x, _) = Datasets.slice(spec, 0, 250)
       val ratio = x.denSizeBytes.toDouble / Encodings.byName("TOC").encode(x).sizeBytes
       assert(ratio > 10, s"${spec.name}: TOC ratio $ratio too low for the analog's regime")
     }
   }
 
   test("deep1b analog is incompressible for every scheme") {
-    val (x, _) = Datasets.local(Datasets.deep1b, 250)
+    val (x, _) = Datasets.slice(Datasets.deep1b, 0, 250)
     assert(x.sparsity == 1.0)
     for (e <- Encodings.all) {
       val ratio = x.denSizeBytes.toDouble / e.encode(x).sizeBytes
@@ -66,15 +63,15 @@ class DatasetsSpec extends AnyFunSuite {
   }
 
   test("rcv1 analog: CSR is the natural winner (extreme sparsity)") {
-    val (x, _) = Datasets.local(Datasets.rcv1, 250)
+    val (x, _) = Datasets.slice(Datasets.rcv1, 0, 250)
     val csr = Encodings.byName("CSR").encode(x).sizeBytes
     val den = Encodings.byName("DEN").encode(x).sizeBytes
     assert(csr.toDouble / den < 0.02)
   }
 
   test("textBytes is positive and roughly proportional to columns") {
-    val (x1, y1) = Datasets.local(Datasets.census, 100)
-    val (x2, y2) = Datasets.local(Datasets.imagenet, 100)
+    val (x1, y1) = Datasets.slice(Datasets.census, 0, 100)
+    val (x2, y2) = Datasets.slice(Datasets.imagenet, 0, 100)
     val t1 = Datasets.textBytes(x1, y1)
     val t2 = Datasets.textBytes(x2, y2)
     assert(t1 > 0 && t2 > t1) // 900 cols ≫ 68 cols

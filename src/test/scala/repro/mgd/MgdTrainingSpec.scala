@@ -9,7 +9,7 @@ import repro.linalg.Encodings
   */
 class MgdTrainingSpec extends AnyFunSuite {
 
-  lazy val (x, y) = Datasets.local(Datasets.census, 1000)
+  lazy val (x, y) = Datasets.slice(Datasets.census, 0, 1000)
 
   test("makeBatches slices rows without loss, last batch short") {
     val batches = Mgd.makeBatches(x, y, 250, Encodings.byName("DEN"))
@@ -51,7 +51,7 @@ class MgdTrainingSpec extends AnyFunSuite {
   }
 
   test("multiclass (mnist analog) one-vs-rest LR decreases loss") {
-    val (xm, ym) = Datasets.local(Datasets.mnist, 500)
+    val (xm, ym) = Datasets.slice(Datasets.mnist, 0, 500)
     val batches = Mgd.makeBatches(xm, ym, 250, Encodings.byName("TOC"))
     val model = new OneVsRest(10, _ => new LogisticRegression(xm.cols))
     val res = Mgd.train(batches, model, lr = 0.1, epochs = 2)

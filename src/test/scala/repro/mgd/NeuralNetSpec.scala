@@ -23,6 +23,28 @@ class NeuralNetSpec extends AnyFunSuite {
     MiniBatch(DenEncoder.encode(x), y)
   }
 
+  /** A multi-class net's softmax output for `b`, recomputed densely from
+    * its public weights.
+    */
+  def softmaxOutput(m: NeuralNet, b: MiniBatch): DenseMatrix = {
+    def affine(a: DenseMatrix, w: DenseMatrix, bias: Array[Double]): DenseMatrix = {
+      val z = a.timesMatrix(w)
+      for (i <- 0 until z.rows; j <- 0 until z.cols) z(i, j) = z(i, j) + bias(j)
+      z
+    }
+    def sigmoid(z: DenseMatrix) = new DenseMatrix(z.rows, z.cols, z.data.map(MathOps.sigmoid))
+    val z3 = affine(sigmoid(affine(sigmoid(affine(b.x.decode, m.w1, m.b1)), m.w2, m.b2)), m.w3, m.b3)
+    val out = z3.data.grouped(z3.cols).flatMap { r =>
+      val mx = r.max
+      val e = r.map(z => math.exp(z - mx))
+      e.map(_ / e.sum)
+    }
+    new DenseMatrix(z3.rows, z3.cols, out.toArray)
+  }
+
+  def layers(m: NeuralNet): Seq[Seq[Double]] =
+    Seq(m.w1.data, m.b1, m.w2.data, m.b2, m.w3.data, m.b3).map(_.toSeq)
+
   test("binary net: loss decreases under training") {
     val b = binaryBatch()
     val m = new NeuralNet(6, 10, 5, numClasses = 2)
@@ -37,17 +59,22 @@ class NeuralNetSpec extends AnyFunSuite {
     val l0 = m.loss(b)
     (1 to 150).foreach(_ => m.step(b, 0.5))
     assert(m.loss(b) < l0)
-    val preds = m.predict(b)
-    assert(preds.forall(p => p >= 0 && p < 3))
+    val p = softmaxOutput(m, b)
+    for (i <- 0 until p.rows) assert(math.abs(p.row(i).sum - 1.0) < 1e-12, s"row $i")
+    val crossEntropy = (0 until p.rows).map(i => -math.log(p(i, b.y(i).toInt))).sum / p.rows
+    assert(math.abs(m.loss(b) - crossEntropy) < 1e-9)
   }
 
   test("params/setParams round-trip preserves every layer") {
     val m = new NeuralNet(6, 10, 5, numClasses = 2)
     val p = m.params
-    val m2 = new NeuralNet(6, 10, 5, numClasses = 2, seed = 999)
+    val m2 = new NeuralNet(6, 10, 5, numClasses = 2)
+    val b = binaryBatch()
+    m2.step(b, 0.5)
+    layers(m2).zip(layers(m)).foreach { case (l2, l) => assert(l2 != l) }
     m2.setParams(p)
     assert(m2.params.toSeq == p.toSeq)
-    val b = binaryBatch()
+    assert(layers(m2) == layers(m))
     assert(math.abs(m.loss(b) - m2.loss(b)) < 1e-12)
   }
 

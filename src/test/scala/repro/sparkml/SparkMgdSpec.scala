@@ -16,18 +16,22 @@ class SparkMgdSpec extends SparkSpec {
   test("single partition: Spark training equals local sequential MGD exactly") {
     val rows = 400
     val sparkRes = SparkMgd.train(encodedBatches(rows, 1), new LogisticRegression(68), 0.1, 2)
-    val (x, y) = Datasets.local(Datasets.census, rows)
+    val (x, y) = Datasets.slice(Datasets.census, 0, rows)
     val localBatches = Mgd.makeBatches(x, y, 100, Encodings.byName("TOC"))
     val localRes = Mgd.train(localBatches, new LogisticRegression(68), 0.1, 2)
     sparkRes.model.params.zip(localRes.model.params).foreach { case (s, l) =>
       assert(math.abs(s - l) < 1e-10, "single-partition Spark must equal sequential MGD")
+    }
+    assert(sparkRes.lossPerEpoch.length == 2 && localRes.lossPerEpoch.length == 2)
+    sparkRes.lossPerEpoch.zip(localRes.lossPerEpoch).foreach { case (s, l) =>
+      assert(math.abs(s - l) < 1e-10, "both drivers record the same per-epoch loss")
     }
   }
 
   test("multi-partition LR training decreases loss per epoch") {
     val batches = encodedBatches(1200, 4).cache()
     try {
-      val res = SparkMgd.train(batches, new LogisticRegression(68), 0.1, 3, trackLoss = true)
+      val res = SparkMgd.train(batches, new LogisticRegression(68), 0.1, 3)
       assert(res.lossPerEpoch.length == 3)
       assert(res.lossPerEpoch.head > res.lossPerEpoch.last)
     } finally batches.unpersist()
@@ -69,7 +73,7 @@ class SparkMgdSpec extends SparkSpec {
     val batches = encodedBatches(400, 1)
     val model = new LogisticRegression(68)
     val sparkLoss = SparkMgd.meanLoss(batches, model)
-    val (x, y) = Datasets.local(Datasets.census, 400)
+    val (x, y) = Datasets.slice(Datasets.census, 0, 400)
     val localLoss = Mgd.meanLoss(Mgd.makeBatches(x, y, 100, Encodings.byName("TOC")), model)
     assert(math.abs(sparkLoss - localLoss) < 1e-10)
   }

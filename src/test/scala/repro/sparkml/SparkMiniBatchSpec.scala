@@ -11,7 +11,7 @@ class SparkMiniBatchSpec extends SparkSpec {
     val df = SparkMiniBatch.generateDf(spark, Datasets.census, 200, numPartitions = 4)
     import spark.implicits._
     val collected = df.as[(Long, Seq[Double], Double)].collect().sortBy(_._1)
-    val (localX, localY) = Datasets.local(Datasets.census, 200)
+    val (localX, localY) = Datasets.slice(Datasets.census, 0, 200)
     assert(collected.length == 200)
     collected.foreach { case (id, feats, lbl) =>
       assert(feats == localX.row(id.toInt).toSeq, s"row $id features")
