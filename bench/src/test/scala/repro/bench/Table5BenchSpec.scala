@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.Datasets
 
 /** Regenerates Table 5 (dataset statistics) for the synthetic analogs and
   * prints paper-vs-measured rows (recorded in EXPERIMENTS.md).

@@ -163,7 +163,7 @@ object ClaEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): ClaMatrix = {
     val r = new ByteReader(bytes)
-    val rows = r.count(); val cols = r.count(4)
+    val (rows, cols) = r.shape(colWidth = 4)
     val groups = Array.tabulate[ClaGroup](cols) { j =>
       val dictLen = r.count(8)
       if (dictLen == 0) UcGroup(j, r.doubles(rows))

@@ -145,7 +145,7 @@ object CsrEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): CsrMatrix = {
     val r = new ByteReader(bytes)
-    val rows = r.count(); val cols = r.count()
+    val (rows, cols) = r.shape()
     val (rowPtr, colIdx) = readIndex(r, rows, cols)
     val values = r.doubles(colIdx.length)
     r.end()

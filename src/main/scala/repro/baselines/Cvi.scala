@@ -47,7 +47,7 @@ object CviEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): CviMatrix = {
     val r = new ByteReader(bytes)
-    val rows = r.count(); val cols = r.count()
+    val (rows, cols) = r.shape()
     val (rowPtr, colIdx) = CsrEncoder.readIndex(r, rows, cols)
     val dict = r.doubles(r.count())
     val valIdx = r.packed(dict.length - 1)

@@ -28,7 +28,7 @@ object DenEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): DenMatrix = {
     val r = new ByteReader(bytes)
-    val rows = r.count(); val cols = r.count()
+    val (rows, cols) = r.shape()
     val data = r.doubles(rows.toLong * cols)
     r.end()
     new DenMatrix(new DenseMatrix(rows, cols, data))

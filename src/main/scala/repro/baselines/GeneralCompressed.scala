@@ -61,8 +61,7 @@ abstract class GeneralCompression extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): GeneralCompressedMatrix = {
     val r = new ByteReader(bytes)
-    val rows = r.count(); val cols = r.count()
-    CorruptBatchException.check(rows.toLong * cols <= Int.MaxValue / 8, s"$rows x $cols does not fit an array")
+    val (rows, cols) = r.shape()
     new GeneralCompressedMatrix(this, rows, cols, r.rest())
   }
 }

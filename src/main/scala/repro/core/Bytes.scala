@@ -70,6 +70,23 @@ final class ByteReader(bytes: Array[Byte]) {
     fits(buf.getInt(), width, "count")
   }
 
+  /** The `int32 numRows | int32 numCols` header every format starts with,
+    * where each column takes `colWidth` more bytes. A decoded batch and
+    * every op's output must fit an array, so rows × cols (a 0 counting as
+    * 1) is at most `Int.MaxValue / 8` float64s. A 0-column batch carries
+    * no bytes per row in DEN, DVI, CLA, Gzip or Snappy, so nothing else
+    * bounds its row count, which `A·v` allocates: it may claim at most
+    * [[ByteReader.MaxEmptyRows]].
+    */
+  def shape(colWidth: Int = 0): (Int, Int) = {
+    val rows = count(); val cols = count(colWidth)
+    CorruptBatchException.check(math.max(rows, 1).toLong * math.max(cols, 1) <= Int.MaxValue / 8,
+      s"$rows x $cols does not fit an array")
+    CorruptBatchException.check(cols > 0 || rows <= ByteReader.MaxEmptyRows,
+      s"$rows rows of 0 columns, more than ${ByteReader.MaxEmptyRows}")
+    (rows, cols)
+  }
+
   def doubles(n: Long): Array[Double] = {
     val out = new Array[Double](fits(n, 8, "float64s"))
     buf.asDoubleBuffer.get(out)
@@ -126,6 +143,11 @@ final class ByteReader(bytes: Array[Byte]) {
 }
 
 object ByteReader {
+  /** The most rows a 0-column batch may claim: far above any mini-batch
+    * the program builds (250 rows), and `A·v` on it allocates 512 KiB.
+    */
+  val MaxEmptyRows: Int = 1 << 16
+
   /** Row offsets (CSR's `rowPtr`, TOC's `rowStarts`) start at 0 and never decrease. */
   def checkOffsets(starts: Array[Int], what: String): Unit = {
     var ok = starts.isEmpty || starts(0) == 0

@@ -22,46 +22,36 @@ final class DecodeTree(
 
 object DecodeTree {
 
-  /** Algorithm 2 straight off the physical arrays — the kernel path. */
-  def buildFromPhysical(p: TocPhysical): DecodeTree = {
-    val iVals = new Array[Double](p.iValIdx.length)
-    var k = 0
-    while (k < iVals.length) { iVals(k) = p.dict(p.iValIdx(k)); k += 1 }
-    buildRaw(p.iCols, iVals, p.tokens, p.rowStarts)
-  }
-
-  /** Algorithm 2 core: phase I seeds nodes `1..len(I)` from `I`; phase II
-    * replays the encoder over `D` — for every code except a tuple's last,
-    * a node is created whose parent is that code and whose key is the
-    * *first* pair of the next code's sequence. `F` (fCol/fVal) tracks
-    * first pairs; `F[new]` is written before `F[next]` is read so the
+  /** Algorithm 2 straight off the physical arrays. Phase I seeds nodes
+    * `1..len(I)` from `I`; phase II replays the encoder over `D` — for
+    * every code except a tuple's last, a node is created whose parent is
+    * that code and whose key is the *first* pair of the next code's
+    * sequence. `first` holds each node's first-layer node, whose key is
+    * that pair (Welch's decoder keeps the same: prefix code and first
+    * symbol); `first(new)` is written before `first(next)` is read so the
     * LZW self-reference case resolves correctly.
     */
-  def buildRaw(iCols: Array[Int], iVals: Array[Double],
-               tokens: Array[Int], rowStarts: Array[Int]): DecodeTree = {
+  def buildFromPhysical(p: TocPhysical): DecodeTree = {
+    val tokens = p.tokens
+    val rowStarts = p.rowStarts
     val numRows = rowStarts.length
-    var extra = 0
+    def end(r: Int): Int = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
+    val iLen = p.iCols.length
+    // Every code but a tuple's last adds a node.
+    var n = 1 + iLen + tokens.length
     var r = 0
-    while (r < numRows) {
-      val to = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
-      val len = to - rowStarts(r)
-      if (len > 1) extra += len - 1
-      r += 1
-    }
-    val n = 1 + iCols.length + extra
+    while (r < numRows) { if (rowStarts(r) < end(r)) n -= 1; r += 1 }
     val keyCols = new Array[Int](n)
     val keyVals = new Array[Double](n)
     val parents = new Array[Int](n)
-    val fCol = new Array[Int](n)
-    val fVal = new Array[Double](n)
+    val first = new Array[Int](n)
     parents(0) = -1
 
-    // Phase I: first layer from I.
+    // Phase I: first layer from I, children of the root (parents stay 0).
     var k = 1
-    while (k <= iCols.length) {
-      keyCols(k) = iCols(k - 1); keyVals(k) = iVals(k - 1)
-      parents(k) = 0
-      fCol(k) = iCols(k - 1); fVal(k) = iVals(k - 1)
+    while (k <= iLen) {
+      keyCols(k) = p.iCols(k - 1); keyVals(k) = p.dict(p.iValIdx(k - 1))
+      first(k) = k
       k += 1
     }
 
@@ -70,19 +60,20 @@ object DecodeTree {
     // case); so every parent is below its node and no chain cycles.
     def checkCode(code: Int, last: Int): Unit =
       if (code < 1 || code > last) throw new CorruptBatchException(s"TOC code $code is not a node in 1..$last")
-    var idxSeqNum = iCols.length + 1
+    var idxSeqNum = iLen + 1
     r = 0
     while (r < numRows) {
-      val to = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
+      val to = end(r)
       var j = rowStarts(r)
       if (j < to) checkCode(tokens(j), idxSeqNum - 1)
       while (j < to - 1) {
         val cur = tokens(j)
         parents(idxSeqNum) = cur
-        fCol(idxSeqNum) = fCol(cur); fVal(idxSeqNum) = fVal(cur)
+        first(idxSeqNum) = first(cur)
         val next = tokens(j + 1)
         checkCode(next, idxSeqNum)
-        keyCols(idxSeqNum) = fCol(next); keyVals(idxSeqNum) = fVal(next)
+        val f = first(next)
+        keyCols(idxSeqNum) = keyCols(f); keyVals(idxSeqNum) = keyVals(f)
         idxSeqNum += 1
         j += 1
       }

@@ -2,12 +2,19 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Output of logical encoding (§3.1): `I` is the first tree layer's pairs
-  * (node `k+1`'s key at position `k`); `D` is every tuple's node-index
-  * codes concatenated in `tokens`, tuple `r`'s codes starting at
-  * `rowStarts(r)`.
+/** `I`, the first tree layer of §3.1, value-indexed as in §3.2: node
+  * `k+1`'s key is column `cols(k)` and value `dict(valIdx(k))`, and `dict`
+  * holds the distinct values in first-occurrence order.
   */
-final case class LogicalEncoded(i: Array[ColValue], tokens: Array[Int], rowStarts: Array[Int])
+final case class FirstLayer(cols: Array[Int], valIdx: Array[Int], dict: Array[Double]) {
+  def length: Int = cols.length
+}
+
+/** Output of logical encoding (§3.1): `I`, and `D` as every tuple's
+  * node-index codes concatenated in `tokens`, tuple `r`'s codes starting
+  * at `rowStarts(r)`.
+  */
+final case class LogicalEncoded(i: FirstLayer, tokens: Array[Int], rowStarts: Array[Int])
 
 /** Algorithm 1: the LZW-style prefix tree encoding algorithm.
   *
@@ -30,12 +37,15 @@ object PrefixTreeEncoder {
   @inline private def key(hi: Int, lo: Int): Long = ((hi.toLong << 32) | lo) * 0x9E3779B97F4A7C15L
 
   /** Encode sparse table `B` into (`I`, `D`). */
-  def encode(b: Array[Array[ColValue]]): LogicalEncoded = {
+  def encode(b: Array[SparseRow]): LogicalEncoded = {
     // Phase I: node 1..|I| for each unique pair, in first-occurrence order;
-    // `pairNodes` holds every pair's first-layer node.
+    // `pairNodes` holds every pair's first-layer node. A value's first
+    // occurrence is also its pair's, so numbering values as they come
+    // gives `I`'s value index (§3.2) in the dictionary's order.
     val valueIds = mutable.LongMap.empty[Int]
     val firstLayer = mutable.LongMap.empty[Int]
-    val iOut = Array.newBuilder[ColValue]
+    val iCols, iValIdx = Array.newBuilder[Int]
+    val dict = Array.newBuilder[Double]
     val pairNodes = new Array[Int](b.foldLeft(0)(_ + _.length))
     var p = 0
     var r = 0
@@ -43,12 +53,12 @@ object PrefixTreeEncoder {
       val t = b(r)
       var j = 0
       while (j < t.length) {
-        val bits = java.lang.Double.doubleToRawLongBits(t(j).value)
+        val bits = java.lang.Double.doubleToRawLongBits(t.vals(j))
         var v = valueIds.getOrElse(bits, -1)
-        if (v < 0) { v = valueIds.size; valueIds(bits) = v }
-        val k = key(t(j).col, v)
+        if (v < 0) { v = valueIds.size; valueIds(bits) = v; dict += t.vals(j) }
+        val k = key(t.cols(j), v)
         var n = firstLayer.getOrElse(k, 0)
-        if (n == 0) { n = firstLayer.size + 1; firstLayer(k) = n; iOut += t(j) }
+        if (n == 0) { n = firstLayer.size + 1; firstLayer(k) = n; iCols += t.cols(j); iValIdx += v }
         pairNodes(p) = n
         p += 1
         j += 1
@@ -84,6 +94,7 @@ object PrefixTreeEncoder {
       }
       r += 1
     }
-    LogicalEncoded(iOut.result(), java.util.Arrays.copyOf(tokens, numTokens), rowStarts)
+    LogicalEncoded(FirstLayer(iCols.result(), iValIdx.result(), dict.result()),
+      java.util.Arrays.copyOf(tokens, numTokens), rowStarts)
   }
 }

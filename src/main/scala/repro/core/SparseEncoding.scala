@@ -2,30 +2,29 @@ package repro.core
 
 import repro.linalg.DenseMatrix
 
-/** A column_index:value pair — the compression unit of TOC (§3).
-  *
-  * Also the sparse representation of a length-`numCols` vector with a
-  * single non-zero, which is how Theorems 1–4 treat `C'[i].key`.
+/** One tuple of §3's sparse table `B`: its column_index:value pairs, the
+  * compression unit of TOC, as parallel column and value arrays.
   */
-final case class ColValue(col: Int, value: Double)
+final case class SparseRow(cols: Array[Int], vals: Array[Double]) { def length: Int = cols.length }
 
 /** §3 sparse encoding: drop zeros, prefix each remaining value with its
   * column index. Only `+0.0` is a zero: `-0.0` is kept, so decoding is
   * bit-exact. `A` (dense table) becomes `B` (per-row pair sequences).
   */
 object SparseEncoder {
-  /** Encode one dense row. */
-  def encodeRow(row: Array[Double]): Array[ColValue] = {
-    val out = Array.newBuilder[ColValue]
-    var j = 0
-    while (j < row.length) {
-      if (java.lang.Double.doubleToRawLongBits(row(j)) != 0L) out += ColValue(j, row(j))
-      j += 1
-    }
-    out.result()
-  }
-
   /** Encode the full table `A` → `B`. */
-  def encode(a: DenseMatrix): Array[Array[ColValue]] =
-    Array.tabulate(a.rows)(i => encodeRow(a.row(i)))
+  def encode(a: DenseMatrix): Array[SparseRow] = {
+    val cols = new Array[Int](a.cols)
+    val vals = new Array[Double](a.cols)
+    Array.tabulate(a.rows) { i =>
+      var n = 0
+      var j = 0
+      while (j < a.cols) {
+        val v = a.data(i * a.cols + j)
+        if (java.lang.Double.doubleToRawLongBits(v) != 0L) { cols(n) = j; vals(n) = v; n += 1 }
+        j += 1
+      }
+      SparseRow(java.util.Arrays.copyOf(cols, n), java.util.Arrays.copyOf(vals, n))
+    }
+  }
 }

@@ -42,18 +42,16 @@ final case class TocPhysical(
 
 object TocPhysical {
 
-  /** Physically encode logical outputs (`I`, `D`): value-index `I`. */
-  def encode(numRows: Int, numCols: Int, enc: LogicalEncoded): TocPhysical = {
-    val (dict, iValIdx) = ValueIndex(enc.i.map(_.value))
-    TocPhysical(numRows, numCols, dict, enc.i.map(_.col), iValIdx, enc.tokens, enc.rowStarts)
-  }
+  /** Physically encode logical outputs (`I`, `D`); Algorithm 1 value-indexed `I`. */
+  def encode(numRows: Int, numCols: Int, enc: LogicalEncoded): TocPhysical =
+    TocPhysical(numRows, numCols, enc.i.dict, enc.i.cols, enc.i.valIdx, enc.tokens, enc.rowStarts)
 
   /** Deserialize from the physical byte layout. The codes in `tokens`
-    * are checked when `C'` is built ([[DecodeTree.buildRaw]]).
+    * are checked when `C'` is built ([[DecodeTree.buildFromPhysical]]).
     */
   def fromBytes(bytes: Array[Byte]): TocPhysical = {
     val r = new ByteReader(bytes)
-    val numRows = r.count(); val numCols = r.count()
+    val (numRows, numCols) = r.shape()
     val dict = r.doubles(r.count())
     val iCols = r.packed(numCols - 1)
     val iValIdx = r.packed(dict.length - 1)

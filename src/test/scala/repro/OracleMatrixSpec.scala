@@ -3,7 +3,6 @@ package repro
 import org.apache.spark.sql.DataFrame
 import repro.core.TocEncoder
 import repro.data.Datasets
-import repro.linalg.DenseMatrix
 
 /** Ties the compressed kernels to an independent SQL oracle: the same
   * multiplications expressed as relational aggregates over a COO triple

@@ -11,7 +11,7 @@ class DecodeTreeSpec extends AnyFunSuite {
   def tableB: Array[Array[ColValue]] = Fig3.tableB
 
   test("Table 4: C' reproduces the documented keys exactly") {
-    val enc = PrefixTreeEncoder.encode(tableB)
+    val enc = PrefixTreeEncoder.encode(sparse(tableB))
     val c = TocViews.tree(enc)
     assert(c.size == 11)
     val wantKeys = Seq(null,
@@ -21,13 +21,13 @@ class DecodeTreeSpec extends AnyFunSuite {
   }
 
   test("Table 4: C' reproduces the documented parent indexes exactly") {
-    val enc = PrefixTreeEncoder.encode(tableB)
+    val enc = PrefixTreeEncoder.encode(sparse(tableB))
     val c = TocViews.tree(enc)
     assert(c.parents.toSeq == Seq(-1, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5))
   }
 
   test("|C'| = 1 + |I| + sum(len(D[i]) - 1) — the §4.6 size identity") {
-    val enc = PrefixTreeEncoder.encode(tableB)
+    val enc = PrefixTreeEncoder.encode(sparse(tableB))
     val c = TocViews.tree(enc)
     val expected = 1 + enc.i.length + enc.d.map(d => math.max(0, d.length - 1)).sum
     assert(c.size == expected)
@@ -40,7 +40,7 @@ class DecodeTreeSpec extends AnyFunSuite {
   }
 
   test("Equation 6: seq(i) = key(i) appended to seq(parent(i))") {
-    val enc = PrefixTreeEncoder.encode(tableB)
+    val enc = PrefixTreeEncoder.encode(sparse(tableB))
     val c = TocViews.tree(enc)
     for (i <- 1 until c.size)
       assert(c.sequence(i) == c.sequence(c.parent(i)) :+ c.key(i), s"node $i")

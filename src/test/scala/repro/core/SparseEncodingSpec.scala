@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TocViews._
 import repro.linalg.{DenseMatrix, TestMatrices}
 
 class SparseEncodingSpec extends AnyFunSuite {
@@ -14,10 +15,10 @@ class SparseEncodingSpec extends AnyFunSuite {
 
   test("Figure 3: A → B drops zeros and prefixes column indexes") {
     val b = SparseEncoder.encode(figure3A)
-    assert(b(0).toSeq == Seq(ColValue(0, 1.1), ColValue(1, 2.0), ColValue(2, 3.0), ColValue(3, 1.4)))
-    assert(b(1).toSeq == Seq(ColValue(0, 1.1), ColValue(1, 2.0), ColValue(2, 3.0)))
-    assert(b(2).toSeq == Seq(ColValue(1, 1.1), ColValue(2, 3.0), ColValue(3, 1.4)))
-    assert(b(3).toSeq == Seq(ColValue(0, 1.1), ColValue(1, 2.0)))
+    assert(b(0).pairs.toSeq == Seq(ColValue(0, 1.1), ColValue(1, 2.0), ColValue(2, 3.0), ColValue(3, 1.4)))
+    assert(b(1).pairs.toSeq == Seq(ColValue(0, 1.1), ColValue(1, 2.0), ColValue(2, 3.0)))
+    assert(b(2).pairs.toSeq == Seq(ColValue(1, 1.1), ColValue(2, 3.0), ColValue(3, 1.4)))
+    assert(b(3).pairs.toSeq == Seq(ColValue(0, 1.1), ColValue(1, 2.0)))
   }
 
   test("encode/decode round-trips Figure 3's table") {
@@ -27,7 +28,7 @@ class SparseEncodingSpec extends AnyFunSuite {
   test("all-zero rows encode to empty pair sequences") {
     val m = DenseMatrix.zeros(3, 5)
     val b = SparseEncoder.encode(m)
-    assert(b.forall(_.isEmpty))
+    assert(b.forall(_.length == 0))
     assert(TocViews.decodeSparse(b, 5) == m)
   }
 
@@ -39,8 +40,8 @@ class SparseEncodingSpec extends AnyFunSuite {
   test("column indexes are strictly increasing within a row") {
     val m = DenseMatrix.rand(20, 30, seed = 5, sparsity = 0.4)
     SparseEncoder.encode(m).foreach { row =>
-      assert(row.map(_.col).toSeq == row.map(_.col).toSeq.sorted)
-      assert(row.map(_.col).distinct.length == row.length)
+      assert(row.cols.toSeq == row.cols.toSeq.sorted)
+      assert(row.cols.distinct.length == row.length)
     }
   }
 

@@ -10,7 +10,7 @@ import repro.linalg.DenseMatrix
 class TocPhysicalSpec extends AnyFunSuite {
 
   def physFor(rows: Array[Array[ColValue]], numCols: Int): TocPhysical =
-    TocPhysical.encode(rows.length, numCols, PrefixTreeEncoder.encode(rows))
+    TocPhysical.encode(rows.length, numCols, PrefixTreeEncoder.encode(sparse(rows)))
 
   test("Figure 3: value dictionary holds the distinct values in first-occurrence order") {
     val p = physFor(Fig3.tableB, 5)
@@ -30,9 +30,9 @@ class TocPhysicalSpec extends AnyFunSuite {
   }
 
   test("iPairs/dRows reconstruct the logical outputs") {
-    val logical = PrefixTreeEncoder.encode(Fig3.tableB)
+    val logical = PrefixTreeEncoder.encode(sparse(Fig3.tableB))
     val p = TocPhysical.encode(4, 5, logical)
-    assert(p.iPairs.toSeq == logical.i.toSeq)
+    assert(p.iPairs.toSeq == logical.i.pairs.toSeq)
     assert(p.dRows.map(_.toSeq).toSeq == logical.d.map(_.toSeq).toSeq)
   }
 
@@ -87,7 +87,12 @@ class TocPhysicalSpec extends AnyFunSuite {
       ("mnist-like", Datasets.slice(Datasets.mnist, 0, 250)._1, 105436,
         "942835204a853fdf1ac3bddbc0faf35ef1999c6ed28ae052c0d40f6b0b84c32b"),
       ("kdd99-like", Datasets.slice(Datasets.kdd99, 0, 250)._1, 2104,
-        "8497c2cf5cea90fa0a460ffe67dcab939d3f900807fa79fc51b9c95c30c00a9f"))
+        "8497c2cf5cea90fa0a460ffe67dcab939d3f900807fa79fc51b9c95c30c00a9f"),
+      ("rcv1-like", Datasets.slice(Datasets.rcv1, 0, 250)._1, 22986,
+        "89e305c6bdc8f516c07820969a82bfd2826247dd38a853d12d0e5816c395d400"),
+      // All-unique values: the longest dictionary.
+      ("deep1b-like", Datasets.slice(Datasets.deep1b, 0, 250)._1, 310171,
+        "831bb8bd3a15311e075f99571f8b0e123cb1cce93bd0142300c1727e5ff017a0"))
     for ((label, batch, length, sha) <- pinned) {
       val bytes = TocEncoder.encode(batch).toBytes
       assert(bytes.length == length, label)

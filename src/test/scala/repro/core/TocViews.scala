@@ -2,11 +2,32 @@ package repro.core
 
 import repro.linalg.DenseMatrix
 
-/** Test-side views of TOC's structures that the kernels never build: `I`
-  * as pairs, `D` as per-tuple code rows, `C'` keys and node sequences, and
-  * the pair-level reference decoders.
+/** A column_index:value pair, the compression unit of TOC (§3), as the
+  * paper's tables write it. Also the sparse representation of a
+  * length-`numCols` vector with a single non-zero, which is how Theorems
+  * 1–4 treat `C'[i].key`.
+  */
+final case class ColValue(col: Int, value: Double)
+
+/** Test-side views of TOC's structures that the kernels never build: `B`
+  * and `I` as pairs, `D` as per-tuple code rows, `C'` keys and node
+  * sequences, and the pair-level reference decoders.
   */
 object TocViews {
+
+  /** A table of pairs as the [[SparseRow]]s Algorithm 1 encodes. */
+  def sparse(b: Array[Array[ColValue]]): Array[SparseRow] =
+    b.map(t => SparseRow(t.map(_.col), t.map(_.value)))
+
+  implicit final class SparseRowView(private val t: SparseRow) extends AnyVal {
+    /** The tuple's pairs. */
+    def pairs: Array[ColValue] = Array.tabulate(t.length)(j => ColValue(t.cols(j), t.vals(j)))
+  }
+
+  implicit final class FirstLayerView(private val i: FirstLayer) extends AnyVal {
+    /** `I` as pairs (the first tree layer's keys). */
+    def pairs: Array[ColValue] = Array.tabulate(i.length)(k => ColValue(i.cols(k), i.dict(i.valIdx(k))))
+  }
 
   /** `D` split back into per-tuple code rows. */
   def codeRows(tokens: Array[Int], rowStarts: Array[Int]): Array[Array[Int]] =
@@ -49,8 +70,10 @@ object TocViews {
   }
 
   /** `C'` (Algorithm 2) built from the logical outputs. */
-  def tree(enc: LogicalEncoded): DecodeTree =
-    DecodeTree.buildRaw(enc.i.map(_.col), enc.i.map(_.value), enc.tokens, enc.rowStarts)
+  def tree(enc: LogicalEncoded): DecodeTree = {
+    val numCols = enc.i.cols.foldLeft(0)((n, c) => n max (c + 1))
+    DecodeTree.buildFromPhysical(TocPhysical.encode(enc.rowStarts.length, numCols, enc))
+  }
 
   /** Decode (`I`, `D`) back to the sparse table by expanding each token
     * through `C'`'s parent chains.
@@ -61,11 +84,11 @@ object TocViews {
   }
 
   /** Decode §3's sparse table `B` back to `A` given the column count. */
-  def decodeSparse(b: Array[Array[ColValue]], cols: Int): DenseMatrix = {
+  def decodeSparse(b: Array[SparseRow], cols: Int): DenseMatrix = {
     val m = DenseMatrix.zeros(b.length, cols)
     var i = 0
     while (i < b.length) {
-      b(i).foreach(cv => m(i, cv.col) = cv.value)
+      b(i).pairs.foreach(cv => m(i, cv.col) = cv.value)
       i += 1
     }
     m

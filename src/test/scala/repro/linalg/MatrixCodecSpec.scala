@@ -52,6 +52,18 @@ class MatrixCodecSpec extends AnyFunSuite {
       assert(sameBits(back, special))
     }
 
+    test(s"${enc.name}: a header claiming 200M rows of 0 columns, or 2^30 columns, throws CorruptBatchException") {
+      def patched(x: DenseMatrix, at: Int, value: Int): Array[Byte] = {
+        val bytes = enc.encode(x).toBytes
+        java.nio.ByteBuffer.wrap(bytes).order(java.nio.ByteOrder.LITTLE_ENDIAN).putInt(at, value)
+        bytes
+      }
+      // No bytes bound a 0-column batch's rows, and a sparse batch's bytes
+      // do not grow with its columns.
+      intercept[CorruptBatchException](enc.fromBytes(patched(DenseMatrix.zeros(3, 0), 0, 200000000)))
+      intercept[CorruptBatchException](enc.fromBytes(patched(Datasets.slice(Datasets.census, 0, 3)._1, 4, 1 << 30)))
+    }
+
     test(s"${enc.name}: every truncation throws CorruptBatchException") {
       val bytes = MatrixCodec.serialize(enc.encode(a))
       for (k <- 0 until bytes.length)

@@ -2,7 +2,6 @@ package repro.sparkml
 
 import repro.SparkSpec
 import repro.data.Datasets
-import repro.linalg.MatrixCodec
 
 /** Spark-side generation and per-partition encoding. */
 class SparkMiniBatchSpec extends SparkSpec {
