@@ -10,18 +10,39 @@ object BenchUtil {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Best-of-`n` wall-clock seconds (after one warmup run). */
-  def bestOfSec(n: Int)(f: => Unit): Double = {
-    f // warmup
-    var best = Double.MaxValue
-    var i = 0
-    while (i < n) {
-      val t0 = System.nanoTime()
+  /** JIT-quiet warm-up windows: at least one, for at most `MaxWarmNs`. */
+  private val WarmWindowNs = 200000000L
+  private val MaxWarmNs = 2000000000L
+
+  /** Median wall-clock seconds of `n` runs of `f`, timed once the JIT is
+    * quiet. `f` first runs untimed until a 0.2 s window in which the JIT
+    * compilers ran for under 5% of the window (or 2 s passed), the
+    * rule the benchmark's `Run.warmUp` follows; so an op's number does not
+    * depend on which ops ran before it.
+    */
+  def warmMedianSec(n: Int)(f: => Unit): Double = {
+    val jit = java.lang.management.ManagementFactory.getCompilationMXBean
+    val t0 = System.nanoTime()
+    var windowStart = t0
+    var jit0 = jit.getTotalCompilationTime
+    var quiet = false
+    while (!quiet && System.nanoTime() - t0 < MaxWarmNs) {
       f
-      best = math.min(best, (System.nanoTime() - t0) / 1e9)
-      i += 1
+      val now = System.nanoTime()
+      if (now - windowStart >= WarmWindowNs) {
+        val jitMs = jit.getTotalCompilationTime
+        quiet = jitMs - jit0 < 0.05 * (now - windowStart) / 1e6
+        windowStart = now
+        jit0 = jitMs
+      }
     }
-    best
+    val times = Array.fill(n) {
+      val t = System.nanoTime()
+      f
+      (System.nanoTime() - t) / 1e9
+    }
+    java.util.Arrays.sort(times)
+    if (n % 2 == 1) times(n / 2) else (times(n / 2 - 1) + times(n / 2)) / 2
   }
 
   /** Render an aligned text table. */

@@ -31,8 +31,8 @@ object CompressSpeed {
         case other => () => other
       }
       Row(spec.name, name,
-        compressSec = BenchUtil.bestOfSec(Reps)(enc.encode(x)),
-        decompressSec = BenchUtil.bestOfSec(Reps)(mk().decode))
+        compressSec = BenchUtil.warmMedianSec(Reps)(enc.encode(x)),
+        decompressSec = BenchUtil.warmMedianSec(Reps)(mk().decode))
     }
   }
 

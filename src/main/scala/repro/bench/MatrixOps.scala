@@ -17,7 +17,7 @@ object MatrixOps {
   val BatchRows: Int = 250
   /** Columns `p` of the `M` operands. */
   val MCols: Int = 20
-  val Reps: Int = 3
+  val Reps: Int = 5
 
   def benchDataset(spec: DatasetSpec): Seq[Row] = {
     val (x, _) = Datasets.slice(spec, 0, BatchRows)
@@ -39,11 +39,11 @@ object MatrixOps {
         case other => () => other
       }
       Seq(
-        Row(spec.name, name, "A.*c", BenchUtil.bestOfSec(Reps)(mk().timesScalar(1.0001))),
-        Row(spec.name, name, "A.v", BenchUtil.bestOfSec(Reps)(mk().timesVector(v))),
-        Row(spec.name, name, "v.A", BenchUtil.bestOfSec(Reps)(mk().vectorTimes(vLeft))),
-        Row(spec.name, name, "A.M", BenchUtil.bestOfSec(Reps)(mk().timesMatrix(m))),
-        Row(spec.name, name, "M.A", BenchUtil.bestOfSec(Reps)(mk().leftTimes(mLeft))))
+        Row(spec.name, name, "A.*c", BenchUtil.warmMedianSec(Reps)(mk().timesScalar(1.0001))),
+        Row(spec.name, name, "A.v", BenchUtil.warmMedianSec(Reps)(mk().timesVector(v))),
+        Row(spec.name, name, "v.A", BenchUtil.warmMedianSec(Reps)(mk().vectorTimes(vLeft))),
+        Row(spec.name, name, "A.M", BenchUtil.warmMedianSec(Reps)(mk().timesMatrix(m))),
+        Row(spec.name, name, "M.A", BenchUtil.warmMedianSec(Reps)(mk().leftTimes(mLeft))))
     }
   }
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** `I`, the first tree layer of §3.1, value-indexed as in §3.2: node
   * `k+1`'s key is column `cols(k)` and value `dict(valIdx(k))`, and `dict`
   * holds the distinct values in first-occurrence order.
@@ -24,26 +22,24 @@ final case class LogicalEncoded(i: FirstLayer, tokens: Array[Int], rowStarts: Ar
   * emitted code (except a tuple's last code).
   *
   * The tree is one table from (parent node, pair) to child node, the
-  * classic LZW dictionary (Welch, IEEE Computer 1984). Pairs are keyed on
-  * their column and the raw bits of their value, so equal pairs always
-  * share a node, NaN included.
+  * classic LZW dictionary (Welch, IEEE Computer 1984), one
+  * [[LongIntTable]] probe per lookup-or-insert. Pairs are keyed on their
+  * column and the raw bits of their value, so equal pairs always share a
+  * node, NaN included.
   */
 object PrefixTreeEncoder {
 
-  /** A table key for the int pair (`hi`, `lo`), `lo` ≥ 0. `LongMap` folds a
-    * key to `hi ^ lo` before hashing, so unmixed (node, pair) keys collide
-    * heavily; the odd-constant multiply is a bijection that spreads them.
-    */
-  @inline private def key(hi: Int, lo: Int): Long = ((hi.toLong << 32) | lo) * 0x9E3779B97F4A7C15L
+  /** A table key for the int pair (`hi`, `lo`), `lo` ≥ 0. */
+  @inline private def key(hi: Int, lo: Int): Long = (hi.toLong << 32) | lo
 
   /** Encode sparse table `B` into (`I`, `D`). */
   def encode(b: Array[SparseRow]): LogicalEncoded = {
     // Phase I: node 1..|I| for each unique pair, in first-occurrence order;
     // `pairNodes` holds every pair's first-layer node. A value's first
     // occurrence is also its pair's, so numbering values as they come
-    // gives `I`'s value index (§3.2) in the dictionary's order.
-    val valueIds = mutable.LongMap.empty[Int]
-    val firstLayer = mutable.LongMap.empty[Int]
+    // gives `I`'s value index (§3.2) in the dictionary's order; the table
+    // stores index + 1.
+    val valueIds, firstLayer = new LongIntTable
     val iCols, iValIdx = Array.newBuilder[Int]
     val dict = Array.newBuilder[Double]
     val pairNodes = new Array[Int](b.foldLeft(0)(_ + _.length))
@@ -54,11 +50,10 @@ object PrefixTreeEncoder {
       var j = 0
       while (j < t.length) {
         val bits = java.lang.Double.doubleToRawLongBits(t.vals(j))
-        var v = valueIds.getOrElse(bits, -1)
-        if (v < 0) { v = valueIds.size; valueIds(bits) = v; dict += t.vals(j) }
-        val k = key(t.cols(j), v)
-        var n = firstLayer.getOrElse(k, 0)
-        if (n == 0) { n = firstLayer.size + 1; firstLayer(k) = n; iCols += t.cols(j); iValIdx += v }
+        var v = valueIds.putIfAbsent(bits, valueIds.size + 1) - 1
+        if (v < 0) { v = valueIds.size - 1; dict += t.vals(j) }
+        var n = firstLayer.putIfAbsent(key(t.cols(j), v), firstLayer.size + 1)
+        if (n == 0) { n = firstLayer.size; iCols += t.cols(j); iValIdx += v }
         pairNodes(p) = n
         p += 1
         j += 1
@@ -68,10 +63,10 @@ object PrefixTreeEncoder {
 
     // Phase II: LongestMatchFromTree from each pair, AddNode(match, next
     // pair) where the match stops inside the tuple, then emit the match.
-    // Every match is ≥ 1 pair long because phase I seeded every pair.
-    val children = mutable.LongMap.empty[Int]
+    // Every match is ≥ 1 pair long because phase I seeded every pair, so
+    // the codes overwrite `pairNodes` behind the pairs still to be read.
+    val children = new LongIntTable
     var nextNode = firstLayer.size + 1
-    val tokens = new Array[Int](pairNodes.length)
     val rowStarts = new Array[Int](b.length)
     var numTokens = 0
     var j = 0
@@ -84,17 +79,16 @@ object PrefixTreeEncoder {
         j += 1
         var matching = true
         while (matching && j < to) {
-          val k = key(n, pairNodes(j))
-          val child = children.getOrElse(k, 0)
+          val child = children.putIfAbsent(key(n, pairNodes(j)), nextNode)
           if (child != 0) { n = child; j += 1 }
-          else { children(k) = nextNode; nextNode += 1; matching = false }
+          else { nextNode += 1; matching = false }
         }
-        tokens(numTokens) = n
+        pairNodes(numTokens) = n
         numTokens += 1
       }
       r += 1
     }
     LogicalEncoded(FirstLayer(iCols.result(), iValIdx.result(), dict.result()),
-      java.util.Arrays.copyOf(tokens, numTokens), rowStarts)
+      java.util.Arrays.copyOf(pairNodes, numTokens), rowStarts)
   }
 }

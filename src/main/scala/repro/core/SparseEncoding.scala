@@ -19,9 +19,15 @@ object SparseEncoder {
     Array.tabulate(a.rows) { i =>
       var n = 0
       var j = 0
+      // Branch-free: every cell is written at `n`, and `n` moves on only
+      // when its raw bits are non-zero, the one case where `bits | -bits`
+      // has the sign bit set.
       while (j < a.cols) {
         val v = a.data(i * a.cols + j)
-        if (java.lang.Double.doubleToRawLongBits(v) != 0L) { cols(n) = j; vals(n) = v; n += 1 }
+        val bits = java.lang.Double.doubleToRawLongBits(v)
+        cols(n) = j
+        vals(n) = v
+        n += ((bits | -bits) >>> 63).toInt
         j += 1
       }
       SparseRow(java.util.Arrays.copyOf(cols, n), java.util.Arrays.copyOf(vals, n))

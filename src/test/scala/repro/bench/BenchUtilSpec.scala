@@ -9,11 +9,14 @@ class BenchUtilSpec extends AnyFunSuite {
     assert(v == 42 && s >= 0.0)
   }
 
-  test("bestOfSec runs warmup + n reps and returns the minimum") {
+  test("warmMedianSec warms f up untimed, then returns the median of n timed runs") {
+    // Every 5 consecutive runs sleep 1, 2, 3, 40 and 60 ms in some order,
+    // so the 5 timed runs' median is the 3 ms one, whichever run is first.
+    val sleeps = Seq(1L, 40L, 2L, 60L, 3L)
     var runs = 0
-    val best = BenchUtil.bestOfSec(3) { runs += 1 }
-    assert(runs == 4) // 1 warmup + 3 timed
-    assert(best >= 0.0)
+    val median = BenchUtil.warmMedianSec(5) { Thread.sleep(sleeps(runs % 5)); runs += 1 }
+    assert(runs > 5) // at least one warm-up run
+    assert(median >= 0.003 && median < 0.040, s"median $median s")
   }
 
   test("renderTable aligns columns and includes a separator") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TocViews._
@@ -139,4 +140,83 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(2019L), prop)
     assert(result.passed, Pretty.pretty(result))
   }
+
+  test("Algorithm 1 gives the same I, dict, tokens and rowStarts as a naive §3.1 reference (ScalaCheck)") {
+    import PrefixTreeEncoderSpec._
+    def bits(a: Seq[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits)
+    val prop = Prop.forAllNoShrink(largeTables) { b =>
+      val (i, d) = reference(b)
+      val dict = bits(b.toSeq.flatten.map(_.value)).distinct
+      val enc = PrefixTreeEncoder.encode(sparse(b))
+      (enc.i.cols.toSeq == i.map(_.col)) :| "I's columns" &&
+      (bits(enc.i.dict.toSeq) == dict) :| "dict" &&
+      (enc.i.valIdx.toSeq == i.map(cv => dict.indexOf(key(cv)._2))) :| "I's value indexes" &&
+      (enc.tokens.toSeq == d.flatten) :| "tokens" &&
+      (enc.rowStarts.toSeq == d.scanLeft(0)(_ + _.length).init) :| "rowStarts"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+}
+
+object PrefixTreeEncoderSpec {
+  /** A pair's identity in the tree: its column and the raw bits of its value. */
+  def key(cv: ColValue): (Int, Long) = (cv.col, java.lang.Double.doubleToRawLongBits(cv.value))
+
+  /** Algorithm 1 as §3.1 states it, on immutable maps: `I` (the unique
+    * pairs in first-occurrence order, node k+1 for `I(k)`) and `D` (each
+    * tuple's codes). LongestMatchFromTree walks the children of the
+    * current node from the tuple's next pair; AddNode gives the match plus
+    * the pair after it the next free node, unless the tuple ended.
+    */
+  def reference(b: Array[Array[ColValue]]): (Vector[ColValue], Vector[Vector[Int]]) = {
+    val (firstLayer, i) = b.toVector.flatten.foldLeft((Map.empty[(Int, Long), Int], Vector.empty[ColValue])) {
+      case ((nodes, i), cv) => if (nodes.contains(key(cv))) (nodes, i) else (nodes.updated(key(cv), i.length + 1), i :+ cv)
+    }
+    var children = Map.empty[(Int, (Int, Long)), Int]
+    var next = i.length + 1
+    val d = b.toVector.map { t =>
+      var codes = Vector.empty[Int]
+      var from = 0
+      while (from < t.length) {
+        var node = firstLayer(key(t(from)))
+        var to = from + 1
+        while (to < t.length && children.contains((node, key(t(to))))) { node = children((node, key(t(to)))); to += 1 }
+        if (to < t.length) { children = children.updated((node, key(t(to))), next); next += 1 }
+        codes :+= node
+        from = to
+      }
+      codes
+    }
+    (i, d)
+  }
+
+  /** Doubles whose raw bits share their low 32 bits (all zero: small
+    * integers and halves, or a high word alone), and every special value.
+    */
+  val value: Gen[Double] = Gen.frequency(
+    4 -> Gen.choose(1, 40).map(_ * 0.5),
+    2 -> Gen.choose(1, 1 << 20).map(h => java.lang.Double.longBitsToDouble(h.toLong << 32)),
+    2 -> Gen.oneOf(-0.0, Double.NaN, java.lang.Double.longBitsToDouble(0x7ff8000000000001L),
+      Double.PositiveInfinity, Double.NegativeInfinity, Double.MinPositiveValue,
+      java.lang.Double.longBitsToDouble(0x000fffffffffffffL)),
+    1 -> Gen.choose(-1e3, 1e3))
+
+  /** Tables from empty up to 300 tuples of 60 pairs, enough distinct pairs
+    * and tree nodes for the tables to double many times. Columns come from
+    * a pool of up to 2000 and values from one of up to 400, so the same
+    * value index meets many columns (first-layer keys agreeing in their
+    * low 32 bits) and the same pair follows many nodes (child keys
+    * agreeing in theirs). About one tuple in eight is empty.
+    */
+  val largeTables: Gen[Array[Array[ColValue]]] = for {
+    numCols <- Gen.frequency(1 -> Gen.choose(1, 8), 2 -> Gen.choose(9, 2000))
+    columns <- Gen.oneOf(Gen.const((c: Int) => c), Gen.const((c: Int) => c << 20))
+    values <- Gen.choose(1, 400).flatMap(n => Gen.containerOfN[Array, Double](n, value))
+    rows <- Gen.frequency(1 -> Gen.choose(0, 3), 3 -> Gen.choose(4, 300))
+    b <- Gen.containerOfN[Array, Array[ColValue]](rows, Gen.frequency(
+      1 -> Gen.const(Array.empty[ColValue]),
+      7 -> Gen.choose(1, 60).flatMap(len => Gen.containerOfN[Array, ColValue](len,
+        for (c <- Gen.choose(0, numCols - 1); v <- Gen.oneOf(values.toSeq)) yield ColValue(columns(c), v)))))
+  } yield b
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TocViews._
 import repro.linalg.{DenseMatrix, TestMatrices}
@@ -50,5 +52,34 @@ class SparseEncodingSpec extends AnyFunSuite {
       val m = DenseMatrix.rand(17, 23, seed, sp)
       assert(TocViews.decodeSparse(SparseEncoder.encode(m), 23) == m, s"sp=$sp seed=$seed")
     }
+  }
+
+  test("encode keeps exactly the cells whose raw bits are non-zero, in column order (ScalaCheck)") {
+    // +0.0 is the only zero; -0.0 (bits 0x8000000000000000) and every other
+    // special value are kept.
+    val cell = Gen.frequency(
+      6 -> Gen.const(0.0),
+      4 -> Gen.oneOf(-0.0, Double.NaN, java.lang.Double.longBitsToDouble(0x7ff8000000000001L),
+        java.lang.Double.longBitsToDouble(0xfff0000000000003L), Double.MinPositiveValue, -Double.MinPositiveValue,
+        Double.PositiveInfinity, Double.NegativeInfinity),
+      3 -> Gen.choose(-1e6, 1e6))
+    val batches = for {
+      rows <- Gen.choose(0, 12)
+      cols <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 40))
+      data <- Gen.listOfN(rows, Gen.frequency(
+        1 -> Gen.const(Array.fill(cols)(0.0)),
+        1 -> Gen.containerOfN[Array, Double](cols, Gen.oneOf(-0.0, 1.0, Double.NaN, Double.MinPositiveValue)),
+        4 -> Gen.containerOfN[Array, Double](cols, cell)))
+    } yield new DenseMatrix(rows, cols, data.toArray.flatten)
+    val prop = Prop.forAllNoShrink(batches) { a =>
+      val b = SparseEncoder.encode(a)
+      b.length == a.rows && (0 until a.rows).forall { i =>
+        val kept = (0 until a.cols).filter(j => java.lang.Double.doubleToRawLongBits(a(i, j)) != 0L)
+        b(i).cols.toSeq == kept &&
+          b(i).vals.toSeq.map(java.lang.Double.doubleToRawLongBits) == kept.map(j => java.lang.Double.doubleToRawLongBits(a(i, j)))
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 }

@@ -78,6 +78,35 @@ class MatrixCodecSpec extends AnyFunSuite {
     assert(bytes.length < MatrixCodec.serialize(Encodings.byName("DEN").encode(a)).length)
   }
 
+  test("CVI, DVI and CLA bytes of every analog's 250-row slice stay the same (pinned SHA-256)") {
+    // (encoding, analog) → (length, SHA-256) of its bytes.
+    val pinned = Seq(
+      ("CVI", Datasets.census, 36612, "48ab6d0d0b298bdf6392ff579b9c1f8fe188f4880b15e5aec40a7e82dd66bb0a"),
+      ("CVI", Datasets.imagenet, 363372, "d3aba4c3d9cb5fba041481e484d64914d6cc3b8f10f034246137ad13f97f86bc"),
+      ("CVI", Datasets.mnist, 248983, "2174014e1a7c92839e074878eb81a703350754e81e3c0b8895b3e5d943ba8923"),
+      ("CVI", Datasets.kdd99, 16340, "90c1a5155e1bbf15413558ff735a838f448cdb1bf543e48523295f71d325a428"),
+      ("CVI", Datasets.rcv1, 23475, "64dd5431f8e4daf5b73b99cce60a6f6020128a9b13b49a65acd1488b312272d1"),
+      ("CVI", Datasets.deep1b, 334669, "8672d54208d34c4d5627d52a13ab7448596ddf5d44d8f06aac84cce8b8cde791"),
+      ("DVI", Datasets.census, 17121, "420fbda5a334ea216cf84f3f6ffb37be487c5163c723358b8cb41ce522be90d5"),
+      ("DVI", Datasets.imagenet, 225281, "c7f1696a9512e7c4398bd9cce4453f42a3cfc27339e34d9983c6aea4fab8824f"),
+      ("DVI", Datasets.mnist, 196537, "c14a082447a4a2f1009841f01d6f5da33b63a7e84ae09edfd10fc345be92d427"),
+      ("DVI", Datasets.kdd99, 10589, "8739e11b9200efb9e535117863fc78069a91b966b13665e338b140026cc72cc4"),
+      ("DVI", Datasets.rcv1, 2012849, "9fd278c89b377664c43bf85b056b7d0523573bad2e423eb9b9b893c08e4fecba"),
+      ("DVI", Datasets.deep1b, 237665, "47c2f1e375034a779552164beaf183f0665381a87a16a72fc9d94fbdf2f570bf"),
+      ("CLA", Datasets.census, 20148, "09bab4294ac56347276dc3102a8f36106c9e69b6e73be1028f1dd25ea178d633"),
+      ("CLA", Datasets.imagenet, 283468, "c9d1adeeb526e212bc07d151509f8dca9fdcb498fe8747f10280117172dda5c1"),
+      ("CLA", Datasets.mnist, 320848, "a92c14537969eaf7d4853f73aa5620ae4acad0f9928d56bd1286897124a8279c"),
+      ("CLA", Datasets.kdd99, 11526, "62311c34570b1c4e4ba4afb9f5db51603bbeedf8dabc1344c48c9c0a6d357a3f"),
+      ("CLA", Datasets.rcv1, 1080848, "8dde6158afc22bf1da27508f9c9abe9df3751cb52525a42e37d66d20dacec276"),
+      ("CLA", Datasets.deep1b, 192392, "a58f84257ae5e510f47e76720dabeab7273e668c77fb5c3382449cc1b7b375e0"))
+    for ((enc, spec, length, sha) <- pinned) {
+      val bytes = Encodings.byName(enc).encode(Datasets.slice(spec, 0, 250)._1).toBytes
+      assert(bytes.length == length, s"$enc ${spec.name}")
+      assert(java.security.MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString == sha,
+        s"$enc ${spec.name}")
+    }
+  }
+
   test("a DEN header whose rows x cols overflows throws CorruptBatchException") {
     val header = java.nio.ByteBuffer.allocate(8).order(java.nio.ByteOrder.LITTLE_ENDIAN)
       .putInt(1 << 30).putInt(Int.MaxValue).array()
