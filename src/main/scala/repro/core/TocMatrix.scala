@@ -13,6 +13,13 @@ import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
   * re-pay it. A batch freshly parsed from bytes (`TocEncoder.fromBytes`,
   * as the Spark executors do every epoch) still pays the build, and the
   * §5.2 op bench measures from bytes to keep the paper's accounting.
+  *
+  * `C'` keeps only the nodes some code names, and every kernel scans
+  * `tree.codes` (`D` renumbered into that tree) where the paper scans `D`
+  * ([[DecodeTree]]). On finite data the results are bit-identical to the
+  * full tree's: `A·v` never reads a dropped node's `H` row, and for one
+  * `v·A` would only add `key · 0.0`, which leaves a sum unchanged but
+  * turns a ±Inf answer into NaN when the key is ±Inf or NaN.
   */
 final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def numRows: Int = physical.numRows
@@ -34,13 +41,13 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       i += 1
     }
     val r = new Array[Double](numRows)
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       var j = starts(row)
       var s = 0.0
-      while (j < to) { s += h(tokens(j)); j += 1 }
+      while (j < to) { s += h(codes(j)); j += 1 }
       r(row) = s
       row += 1
     }
@@ -54,12 +61,12 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     require(v.length == numRows)
     val tree = cachedTree
     val h = new Array[Double](tree.size)
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       var j = starts(row)
-      while (j < to) { h(tokens(j)) += v(row); j += 1 }
+      while (j < to) { h(codes(j)) += v(row); j += 1 }
       row += 1
     }
     val r = new Array[Double](numCols)
@@ -93,14 +100,14 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       i += 1
     }
     val out = new Array[Double](numRows * p)
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       val rBase = row * p
       var j = starts(row)
       while (j < to) {
-        val hBase = tokens(j) * p
+        val hBase = codes(j) * p
         var c = 0
         while (c < p) { out(rBase + c) += h(hBase + c); c += 1 }
         j += 1
@@ -125,14 +132,14 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     // (small) per-node granularity.
     val mT = m.transpose.data                   // numRows x p
     val h = new Array[Double](tree.size * p)
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       val mBase = row * p
       var j = starts(row)
       while (j < to) {
-        val hBase = tokens(j) * p
+        val hBase = codes(j) * p
         var k = 0
         while (k < p) { h(hBase + k) += mT(mBase + k); k += 1 }
         j += 1
@@ -166,14 +173,14 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   private def timesMatrixByChains(tree: DecodeTree, m: DenseMatrix): DenseMatrix = {
     val p = m.cols
     val out = new Array[Double](numRows * p)
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       val rBase = row * p
       var j = starts(row)
       while (j < to) {
-        var cur = tokens(j)
+        var cur = codes(j)
         while (cur != 0) {
           val kv = tree.keyVals(cur)
           val mBase = tree.keyCols(cur) * p
@@ -193,14 +200,14 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     val p = m.rows
     val mT = m.transpose.data                   // numRows x p
     val outT = new Array[Double](numCols * p)   // column-major accumulator
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       val mBase = row * p
       var j = starts(row)
       while (j < to) {
-        var cur = tokens(j)
+        var cur = codes(j)
         while (cur != 0) {
           val kv = tree.keyVals(cur)
           val oBase = tree.keyCols(cur) * p
@@ -225,13 +232,13 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def decode: DenseMatrix = {
     val tree = cachedTree
     val out = DenseMatrix.zeros(numRows, numCols)
-    val tokens = physical.tokens; val starts = physical.rowStarts
+    val codes = tree.codes; val starts = physical.rowStarts
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else tokens.length
+      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
       var j = starts(row)
       while (j < to) {
-        var cur = tokens(j)
+        var cur = codes(j)
         while (cur != 0) {
           out(row, tree.keyCols(cur)) = tree.keyVals(cur)
           cur = tree.parents(cur)
@@ -249,8 +256,9 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
 
 object TocMatrix {
   /** `H`-table budget (in doubles, 16 MB) above which `A·M`/`M·A` switch
-    * from Algorithm 7/8's dynamic program to direct chain expansion. At
-    * the paper's op-bench setting (p = 20) every analog stays on the DP
+    * from Algorithm 7/8's dynamic program to direct chain expansion. It is
+    * compared with the kept tree's `size · p`, the table the DP allocates.
+    * At the paper's op-bench setting (p = 20) every analog stays on the DP
     * path; the fallback engages for wide NN layers over low-redundancy
     * batches, where the DP's `|C'|·p` table would thrash the cache.
     */

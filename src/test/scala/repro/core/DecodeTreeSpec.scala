@@ -1,10 +1,15 @@
 package repro.core
 
+import org.scalacheck.{Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TocViews._
+import repro.data.Datasets
 
 /** Algorithm 2 checked against Table 4 (the example C') and the §4
-  * identities.
+  * identities, on the paper's full tree ([[TocViews.referenceTree]]); and
+  * the kept tree main builds ([[DecodeTree.buildFromPhysical]]) checked
+  * against it.
   */
 class DecodeTreeSpec extends AnyFunSuite {
 
@@ -44,5 +49,51 @@ class DecodeTreeSpec extends AnyFunSuite {
     val c = TocViews.tree(enc)
     for (i <- 1 until c.size)
       assert(c.sequence(i) == c.sequence(c.parent(i)) :+ c.key(i), s"node $i")
+  }
+
+  test("Table B's kept tree: Table 4's nodes 1-6 and 8, renumbered in creation order, and D renumbered") {
+    // D = [1,2,3,4] [6,3] [5,8] [6] names nodes 1-6 and 8; node 8 becomes 7.
+    val c = DecodeTree.buildFromPhysical(TocViews.physical(PrefixTreeEncoder.encode(sparse(tableB))))
+    assert(c.size == 8)
+    assert(c.keys.toSeq == Seq(null,
+      ColValue(1, 1.1), ColValue(2, 2.0), ColValue(3, 3.0), ColValue(4, 1.4), ColValue(2, 1.1),
+      ColValue(2, 2.0), ColValue(4, 1.4)))
+    assert(c.parents.toSeq == Seq(-1, 0, 0, 0, 0, 0, 1, 3))
+    assert(codeRows(c.codes, Array(0, 4, 6, 8)).map(_.toSeq).toSeq ==
+      Seq(Seq(1, 2, 3, 4), Seq(6, 3), Seq(5, 7), Seq(6)))
+  }
+
+  test("the kept tree gives every code the reference's sequence, and keeps 1 + the distinct codes (ScalaCheck)") {
+    /** Empty when the kept tree agrees with the reference on `p`, else what differs. */
+    def disagreement(p: TocPhysical): Option[String] = {
+      val kept = DecodeTree.buildFromPhysical(p)
+      val ref = TocViews.referenceTree(p)
+      val distinct = p.tokens.distinct.length
+      if (kept.size != 1 + distinct) return Some(s"size ${kept.size}, distinct codes $distinct")
+      if (kept.codes.length != p.tokens.length) return Some("codes and tokens differ in length")
+      for (i <- 1 until kept.size if kept.parents(i) < 0 || kept.parents(i) >= i)
+        return Some(s"node $i has parent ${kept.parents(i)}")
+      for (j <- p.tokens.indices) {
+        // Walk both chains leaf to root in step, comparing columns and raw bits.
+        var a = kept.codes(j); var b = p.tokens(j)
+        while (a != 0 && b != 0 && kept.keyCols(a) == ref.keyCols(b) &&
+          java.lang.Double.doubleToRawLongBits(kept.keyVals(a)) == java.lang.Double.doubleToRawLongBits(ref.keyVals(b))) {
+          a = kept.parents(a); b = ref.parents(b)
+        }
+        if (a != 0 || b != 0) return Some(s"position $j: kept node ${kept.codes(j)} vs reference node ${p.tokens(j)}")
+      }
+      None
+    }
+    val prop = Prop.forAllNoShrink(PrefixTreeEncoderSpec.largeTables) { b =>
+      val d = disagreement(TocViews.physical(PrefixTreeEncoder.encode(sparse(b))))
+      Prop(d.isEmpty) :| d.getOrElse("")
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+    for (spec <- Datasets.all; batch <- 0 until 2) {
+      val (x, _) = Datasets.slice(spec, batch * 250L, 250)
+      val d = disagreement(TocEncoder.encode(x).physical)
+      assert(d.isEmpty, s"${spec.name} batch $batch: ${d.getOrElse("")}")
+    }
   }
 }

@@ -91,6 +91,32 @@ class TocMatrixSpec extends AnyFunSuite {
     intercept[CorruptBatchException](Await.result(decoded, 10.seconds))
   }
 
+  test("a code that names no node, or one not built yet, throws CorruptBatchException") {
+    // I = [(0, 1.0)]; the full tree has n = 1 + |I| + sum(len(D[i]) - 1) nodes.
+    def bytes(rows: Seq[Seq[Int]]): Array[Byte] =
+      TocPhysical(rows.length, 1, Array(1.0), Array(0), Array(0),
+        rows.flatten.toArray, rows.scanLeft(0)(_ + _.length).init.toArray).toBytes
+    val bad = Seq(
+      "0" -> Seq(Seq(1, 0)),
+      "n" -> Seq(Seq(1, 3)),
+      "Int.MaxValue" -> Seq(Seq(1, Int.MaxValue)),
+      "a forward reference inside a tuple" -> Seq(Seq(1, 3, 1)),
+      "a forward reference as a tuple's first code" -> Seq(Seq(3), Seq(1, 1), Seq(1, 1)))
+    for ((what, rows) <- bad) withClue(s"$what: ") {
+      val toc = TocEncoder.fromBytes(bytes(rows))
+      intercept[CorruptBatchException](toc.timesVector(Array(1.0)))
+      intercept[CorruptBatchException](toc.decode)
+    }
+  }
+
+  test("v·A and M·A give ±Inf, not NaN, where an LZW node no code names carries an infinite key") {
+    // D = [1, 2] [3, 4]; Algorithm 2 also builds node 5 = [0:1, 1:+Inf], which no code names.
+    val a = TestMatrices.fromRows(Seq(Seq(1.0, Double.PositiveInfinity), Seq(2.0, 3.0)))
+    val toc = TocEncoder.encode(a)
+    assert(toc.vectorTimes(Array(1.0, 1.0)).toSeq == Seq(3.0, Double.PositiveInfinity))
+    assert(toc.leftTimes(new DenseMatrix(1, 2, Array(1.0, 1.0))).data.toSeq == Seq(3.0, Double.PositiveInfinity))
+  }
+
   test("a NaN column compresses like any repeated value, and round-trips bit-exact") {
     // Column 0 holds one value in every row; columns 1-3 are constant too.
     def batch(v: Double) = TestMatrices.fromRows(Seq.fill(100)(Seq(v, 1.0, 2.0, 3.0)))

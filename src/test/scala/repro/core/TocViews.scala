@@ -10,8 +10,8 @@ import repro.linalg.DenseMatrix
 final case class ColValue(col: Int, value: Double)
 
 /** Test-side views of TOC's structures that the kernels never build: `B`
-  * and `I` as pairs, `D` as per-tuple code rows, `C'` keys and node
-  * sequences, and the pair-level reference decoders.
+  * and `I` as pairs, `D` as per-tuple code rows, the paper's full `C'`,
+  * `C'` keys and node sequences, and the pair-level reference decoders.
   */
 object TocViews {
 
@@ -69,14 +69,74 @@ object TocViews {
     }
   }
 
-  /** `C'` (Algorithm 2) built from the logical outputs. */
-  def tree(enc: LogicalEncoded): DecodeTree = {
-    val numCols = enc.i.cols.foldLeft(0)((n, c) => n max (c + 1))
-    DecodeTree.buildFromPhysical(TocPhysical.encode(enc.rowStarts.length, numCols, enc))
+  /** The paper's full `C'` (Algorithm 2 verbatim), the reference for the
+    * Table 2/4 reproductions and for the kept tree main builds
+    * ([[DecodeTree.buildFromPhysical]]). Phase I seeds nodes `1..len(I)`
+    * from `I`; phase II replays the encoder over `D` — for every code
+    * except a tuple's last, a node is created whose parent is that code
+    * and whose key is the *first* pair of the next code's sequence.
+    * `first` holds each node's first-layer node; `first(new)` is written
+    * before `first(next)` is read so the LZW self-reference case resolves.
+    * Its `codes` are `D` itself, as the full tree numbers every node.
+    */
+  def referenceTree(p: TocPhysical): DecodeTree = {
+    val tokens = p.tokens
+    val rowStarts = p.rowStarts
+    val numRows = rowStarts.length
+    def end(r: Int): Int = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
+    val iLen = p.iCols.length
+    // Every code but a tuple's last adds a node.
+    var n = 1 + iLen + tokens.length
+    var r = 0
+    while (r < numRows) { if (rowStarts(r) < end(r)) n -= 1; r += 1 }
+    val keyCols = new Array[Int](n)
+    val keyVals = new Array[Double](n)
+    val parents = new Array[Int](n)
+    val first = new Array[Int](n)
+    parents(0) = -1
+
+    var k = 1
+    while (k <= iLen) {
+      keyCols(k) = p.iCols(k - 1); keyVals(k) = p.dict(p.iValIdx(k - 1))
+      first(k) = k
+      k += 1
+    }
+
+    def checkCode(code: Int, last: Int): Unit =
+      if (code < 1 || code > last) throw new CorruptBatchException(s"TOC code $code is not a node in 1..$last")
+    var idxSeqNum = iLen + 1
+    r = 0
+    while (r < numRows) {
+      val to = end(r)
+      var j = rowStarts(r)
+      if (j < to) checkCode(tokens(j), idxSeqNum - 1)
+      while (j < to - 1) {
+        val cur = tokens(j)
+        parents(idxSeqNum) = cur
+        first(idxSeqNum) = first(cur)
+        val next = tokens(j + 1)
+        checkCode(next, idxSeqNum)
+        val f = first(next)
+        keyCols(idxSeqNum) = keyCols(f); keyVals(idxSeqNum) = keyVals(f)
+        idxSeqNum += 1
+        j += 1
+      }
+      r += 1
+    }
+    new DecodeTree(keyCols, keyVals, parents, tokens)
   }
 
+  /** The physical arrays of the logical outputs. */
+  def physical(enc: LogicalEncoded): TocPhysical = {
+    val numCols = enc.i.cols.foldLeft(0)((n, c) => n max (c + 1))
+    TocPhysical.encode(enc.rowStarts.length, numCols, enc)
+  }
+
+  /** The paper's `C'` (Algorithm 2) built from the logical outputs. */
+  def tree(enc: LogicalEncoded): DecodeTree = referenceTree(physical(enc))
+
   /** Decode (`I`, `D`) back to the sparse table by expanding each token
-    * through `C'`'s parent chains.
+    * through the paper's `C'`'s parent chains.
     */
   def decode(enc: LogicalEncoded): Array[Array[ColValue]] = {
     val c = tree(enc)
