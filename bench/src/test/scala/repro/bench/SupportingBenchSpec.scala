@@ -10,8 +10,7 @@ import repro.data.Datasets
   */
 class SupportingBenchSpec extends AnyFunSuite {
 
-  lazy val ratioRows: Seq[CompressionRatios.Row] =
-    Datasets.all.flatMap(s => CompressionRatios.sweep(s, 250))
+  lazy val ratioRows: Seq[CompressionRatios.Row] = CompressionRatios.table()
 
   def ratio(ds: String, method: String): Double =
     ratioRows.find(r => r.dataset == ds && r.method == method).get.ratio
@@ -67,8 +66,7 @@ class SupportingBenchSpec extends AnyFunSuite {
   }
 
   test("Figure 6 ablation: each encoding layer helps on every moderate dataset") {
-    for (spec <- Seq(Datasets.census, Datasets.imagenet, Datasets.kdd99, Datasets.mnist)) {
-      val a = CompressionRatios.ablationFor(spec, 250)
+    for ((spec, a) <- CompressionRatios.ablations()) {
       BenchUtil.report(s"Ablation ${spec.name}",
         f"sparse=${a.sparse}%.2fx  sparse+logical=${a.sparseLogical}%.2fx  full=${a.full}%.2fx")
       assert(a.sparseLogical > a.sparse, s"${spec.name}: logical encoding must help")
@@ -76,9 +74,7 @@ class SupportingBenchSpec extends AnyFunSuite {
     }
   }
 
-  lazy val opRows: Seq[MatrixOps.Row] =
-    Seq(Datasets.census, Datasets.imagenet, Datasets.kdd99)
-      .flatMap(s => MatrixOps.benchDataset(s))
+  lazy val opRows: Seq[MatrixOps.Row] = MatrixOps.table()
 
   def opTime(ds: String, method: String, op: String): Double =
     opRows.find(r => r.dataset == ds && r.method == method && r.op == op).get.seconds
@@ -111,9 +107,7 @@ class SupportingBenchSpec extends AnyFunSuite {
     }
   }
 
-  lazy val speedRows: Seq[CompressSpeed.Row] =
-    Seq(Datasets.census, Datasets.imagenet, Datasets.kdd99)
-      .flatMap(s => CompressSpeed.benchDataset(s))
+  lazy val speedRows: Seq[CompressSpeed.Row] = CompressSpeed.table()
 
   test("§5.4: print compression/decompression speed") {
     BenchUtil.report("Compression/decompression speed (250-row batch)",

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 
 /** Regenerates Table 6: end-to-end MGD runtimes on the ImageNet and Mnist
   * analogs — in-memory ("1m"-style) and simulated out-of-core
@@ -10,10 +9,7 @@ import repro.data.Datasets
   */
 class Table6BenchSpec extends SparkSpec {
 
-  lazy val imagenetRes: EndToEnd.Result =
-    EndToEnd.run(EndToEnd.Config(Datasets.imagenet, smallRows = 6000), Some(spark))
-  lazy val mnistRes: EndToEnd.Result =
-    EndToEnd.run(EndToEnd.Config(Datasets.mnist, smallRows = 6000), Some(spark))
+  lazy val Seq(imagenetRes, mnistRes) = EndToEnd.Table6.map(EndToEnd.run(_, Some(spark)))
 
   test("Table 6: print imagenet-like end-to-end MGD runtimes") {
     BenchUtil.report("Table 6 — imagenet-like", EndToEnd.render(imagenetRes))
@@ -73,17 +69,14 @@ class Table6BenchSpec extends SparkSpec {
     for (res <- Seq(imagenetRes, mnistRes)) {
       val local = res.rows.find(_.method == "TOC").get
       val sparkRow = res.rows.find(_.method == "SparkTOC").get
-      assert(sparkRow.lr.computeSec < local.lr.computeSec * 50 + 60,
+      assert(sparkRow.cells("LR").computeSec < local.cells("LR").computeSec * 50 + 60,
         s"${res.config.spec.name}: SparkTOC unreasonably slow")
     }
   }
 
   test("Table 6: Spark rows preserve the TOC-vs-CSR/DEN ordering at large scale") {
     for (res <- Seq(imagenetRes, mnistRes); kind <- Seq("LR", "SVM")) {
-      def cell(m: String) = {
-        val r = res.rows.find(_.method == m).get
-        kind match { case "LR" => r.lr; case "SVM" => r.svm }
-      }
+      def cell(m: String) = res.rows.find(_.method == m).get.cells(kind)
       assert(cell("SparkTOC").largeTotalSec < cell("SparkDEN").largeTotalSec)
       assert(cell("SparkTOC").largeTotalSec < cell("SparkCSR").largeTotalSec)
     }

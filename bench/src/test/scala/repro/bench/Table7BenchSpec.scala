@@ -1,17 +1,13 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 
 /** Regenerates Table 7 (Appendix D.2): end-to-end MGD runtimes on the
   * Census and Kdd99 analogs.
   */
 class Table7BenchSpec extends SparkSpec {
 
-  lazy val censusRes: EndToEnd.Result =
-    EndToEnd.run(EndToEnd.Config(Datasets.census, smallRows = 30000), Some(spark))
-  lazy val kddRes: EndToEnd.Result =
-    EndToEnd.run(EndToEnd.Config(Datasets.kdd99, smallRows = 30000), Some(spark))
+  lazy val Seq(censusRes, kddRes) = EndToEnd.Table7.map(EndToEnd.run(_, Some(spark)))
 
   test("Table 7: print census-like end-to-end MGD runtimes") {
     BenchUtil.report("Table 7 — census-like", EndToEnd.render(censusRes))

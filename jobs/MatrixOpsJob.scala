@@ -1,7 +1,6 @@
 package repro.jobs
 
 import repro.bench.{BenchUtil, CompressSpeed, CompressionRatios, MatrixOps}
-import repro.data.Datasets
 
 /** Entrypoint for the supporting measurements that back Tables 6/7's
   * analysis: §5.1 compression ratios (Fig. 5/6), §5.2 matrix-op runtimes
@@ -10,21 +9,17 @@ import repro.data.Datasets
   */
 object MatrixOpsJob {
   def main(args: Array[String]): Unit = {
-    val ratioRows = Datasets.all.flatMap(s => CompressionRatios.sweep(s, 250))
     BenchUtil.report("Compression ratios (250-row mini-batches)",
-      CompressionRatios.render(ratioRows))
+      CompressionRatios.render(CompressionRatios.table()))
 
-    val abl = Datasets.all.map { s =>
-      val a = CompressionRatios.ablationFor(s, 250)
+    val abl = CompressionRatios.ablations().map { case (s, a) =>
       Seq(s.name, f"${a.sparse}%.2f", f"${a.sparseLogical}%.2f", f"${a.full}%.2f")
     }
     BenchUtil.report("TOC ablation (ratios)",
       BenchUtil.renderTable(Seq("dataset", "TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL", "TOC_FULL"), abl))
 
-    val opRows = Datasets.all.flatMap(s => MatrixOps.benchDataset(s))
-    BenchUtil.report("Matrix op runtimes (250-row mini-batches)", MatrixOps.render(opRows))
+    BenchUtil.report("Matrix op runtimes (250-row mini-batches)", MatrixOps.render(MatrixOps.table()))
 
-    val speedRows = Datasets.all.flatMap(s => CompressSpeed.benchDataset(s))
-    BenchUtil.report("Compression/decompression speed", CompressSpeed.render(speedRows))
+    BenchUtil.report("Compression/decompression speed", CompressSpeed.render(CompressSpeed.table()))
   }
 }

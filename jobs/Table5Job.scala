@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.bench.{BenchUtil, Table5}
 import repro.data.Datasets
@@ -13,20 +12,17 @@ import repro.sparkml.SparkMiniBatch
   * one analog via a Spark SQL aggregate over the generated DataFrame.
   */
 object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder().appName("toc-table5")
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
-    try {
-      BenchUtil.report("Table 5 — dataset statistics (paper vs analogs)",
-        Table5.render(Table5.measureAll()))
+  def main(args: Array[String]): Unit = Jobs.withSpark("Table 5") { spark =>
+    BenchUtil.report("Table 5 — dataset statistics (paper vs analogs)",
+      Table5.render(Table5.measureAll()))
 
-      // Spark-side sparsity of the census analog, as a SQL aggregate.
-      val df = SparkMiniBatch.generateDf(spark, Datasets.census, 2000)
-      val sparsity = df
-        .select(explode(col("features")).as("v"))
-        .agg((sum(when(col("v") =!= 0.0, 1).otherwise(0)) / count(lit(1))).as("sparsity"))
-        .head().getDouble(0)
-      println(f"census-like sparsity via Spark SQL: $sparsity%.4f")
-    } finally spark.stop()
+    // Spark-side sparsity of the census analog, as a SQL aggregate.
+    val df = SparkMiniBatch.generateDf(spark, Datasets.census, Table5.SampleRows,
+      spark.sparkContext.defaultParallelism)
+    val sparsity = df
+      .select(explode(col("features")).as("v"))
+      .agg((sum(when(col("v") =!= 0.0, 1).otherwise(0)) / count(lit(1))).as("sparsity"))
+      .head().getDouble(0)
+    println(f"census-like sparsity via Spark SQL: $sparsity%.4f")
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{ByteReader, ByteWriter}
+import repro.core.{ByteReader, ByteWriter, SparseEncoder}
 import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** A matrix stored row by row as CSR stores it: for row `i`, positions
@@ -123,24 +123,21 @@ final class CsrMatrix(
 
 object CsrEncoder extends MatrixEncoder {
   val name = "CSR"
+  /** §3's sparse encoding ([[SparseEncoder]]) with its rows laid end to end. */
   def encode(batch: DenseMatrix): CsrMatrix = {
-    val values = Array.newBuilder[Double]
-    val colIdx = Array.newBuilder[Int]
-    val rowPtr = new Array[Int](batch.rows + 1)
-    var nnz = 0
+    val rows = SparseEncoder.encode(batch)
+    val rowPtr = new Array[Int](rows.length + 1)
     var i = 0
-    while (i < batch.rows) {
-      rowPtr(i) = nnz
-      var j = 0
-      while (j < batch.cols) {
-        val x = batch(i, j)
-        if (java.lang.Double.doubleToRawLongBits(x) != 0L) { values += x; colIdx += j; nnz += 1 }
-        j += 1
-      }
+    while (i < rows.length) { rowPtr(i + 1) = rowPtr(i) + rows(i).length; i += 1 }
+    val colIdx = new Array[Int](rowPtr(rows.length))
+    val values = new Array[Double](rowPtr(rows.length))
+    i = 0
+    while (i < rows.length) {
+      System.arraycopy(rows(i).cols, 0, colIdx, rowPtr(i), rows(i).length)
+      System.arraycopy(rows(i).vals, 0, values, rowPtr(i), rows(i).length)
       i += 1
     }
-    rowPtr(batch.rows) = nnz
-    new CsrMatrix(batch.rows, batch.cols, values.result(), colIdx.result(), rowPtr)
+    new CsrMatrix(batch.rows, batch.cols, values, colIdx, rowPtr)
   }
 
   def fromBytes(bytes: Array[Byte]): CsrMatrix = {

@@ -17,7 +17,10 @@ object CompressSpeed {
   val BatchRows: Int = 250
   val Reps: Int = 10
 
-  def benchDataset(spec: DatasetSpec): Seq[Row] = {
+  /** The §5.4 table, on the census-, imagenet- and kdd99-like batches. */
+  def table(): Seq[Row] = Seq(Datasets.census, Datasets.imagenet, Datasets.kdd99).flatMap(benchDataset)
+
+  private def benchDataset(spec: DatasetSpec): Seq[Row] = {
     val (x, _) = Datasets.slice(spec, 0, BatchRows)
     methods.map { name =>
       val enc = Encodings.byName(name)

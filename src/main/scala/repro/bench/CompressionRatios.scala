@@ -29,14 +29,21 @@ object CompressionRatios {
   /** TOC ablation (Figure 6): sparse-only / sparse+logical / full sizes. */
   final case class Ablation(sparse: Double, sparseLogical: Double, full: Double)
 
-  def ablationFor(spec: DatasetSpec, batchRows: Int): Ablation = {
-    val (x, _) = Datasets.slice(spec, 0, batchRows)
+  /** The Figure 6 table, on each moderate-sparsity analog's first 250 rows. */
+  def ablations(): Seq[(DatasetSpec, Ablation)] =
+    Seq(Datasets.census, Datasets.imagenet, Datasets.kdd99, Datasets.mnist).map(s => s -> ablationFor(s))
+
+  private def ablationFor(spec: DatasetSpec): Ablation = {
+    val (x, _) = Datasets.slice(spec, 0, 250)
     val den = x.denSizeBytes.toDouble
     Ablation(
       sparse = den / TocEncoder.sparseOnlySizeBytes(x),
       sparseLogical = den / TocEncoder.sparseLogicalSizeBytes(x),
       full = den / TocEncoder.encode(x).sizeBytes)
   }
+
+  /** The §5.1 table: every analog's sweep on 250-row batches. */
+  def table(): Seq[Row] = Datasets.all.flatMap(sweep(_, 250))
 
   /** Full sweep for one dataset at one batch size. */
   def sweep(spec: DatasetSpec, batchRows: Int): Seq[Row] =

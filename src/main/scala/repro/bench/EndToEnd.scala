@@ -49,13 +49,21 @@ object EndToEnd {
 
   final case class Config(spec: DatasetSpec, smallRows: Int)
 
+  /** Table 6's analogs (ImageNet, Mnist) and Table 7's (Census, Kdd99), at their bench rows. */
+  val Table6: Seq[Config] = Seq(Datasets.imagenet, Datasets.mnist).map(atAnalogRows)
+  val Table7: Seq[Config] = Seq(Datasets.census, Datasets.kdd99).map(atAnalogRows)
+  private def atAnalogRows(spec: DatasetSpec): Config = Config(spec, Table5.analogRows(spec.name).toInt)
+
+  /** The model kinds of the tables' columns, in column order. */
+  val Kinds: Seq[String] = Seq("NN", "LR", "SVM")
+
   final case class Cell(computeSec: Double, smallTotalSec: Double, largeTotalSec: Double)
 
   final case class MethodRow(
       method: String,
       encodedBytes: Long,   // at smallRows scale
       fitsLarge: Boolean,
-      nn: Cell, lr: Cell, svm: Cell)
+      cells: Map[String, Cell]) // by kind
 
   final case class Result(config: Config, memoryBudgetBytes: Long, rows: Seq[MethodRow])
 
@@ -76,7 +84,7 @@ object EndToEnd {
     val (x, y) = Datasets.slice(cfg.spec, 0, cfg.smallRows)
     val batches = Mgd.makeBatches(x, y, BatchSize, Encodings.byName(method))
     val encodedBytes = batches.map(b => b.x.sizeBytes + 8L * b.size).sum
-    val times = Seq("NN", "LR", "SVM").map { kind =>
+    val times = Kinds.map { kind =>
       // Warm the kernel paths on a throwaway model, then measure with a
       // settled heap — keeps JIT/GC order effects out of the table rows.
       val warm = freshModel(kind, cfg.spec)
@@ -97,7 +105,7 @@ object EndToEnd {
     val batches = SparkMiniBatch.encodeBatches(df, BatchSize, method).cache()
     batches.count() // materialize encoding once, like the one-time cost
     val encodedBytes = SparkMiniBatch.encodedSizeBytes(batches)
-    val times = Seq("NN", "LR", "SVM").map { kind =>
+    val times = Kinds.map { kind =>
       val model = freshModel(kind, cfg.spec)
       val (_, sec) = BenchUtil.timeSec(SparkMgd.train(batches, model, LearningRate, Epochs))
       kind -> sec
@@ -145,21 +153,18 @@ object EndToEnd {
           smallTotalSec = compute + simSmall.totalIoSeconds(bytes, Epochs),
           largeTotalSec = compute * LargeScale + simLarge.totalIoSeconds(largeBytes, Epochs))
       }
-      MethodRow(method, bytes, simLarge.fits(largeBytes), cell("NN"), cell("LR"), cell("SVM"))
+      MethodRow(method, bytes, simLarge.fits(largeBytes), Kinds.map(k => k -> cell(k)).toMap)
     }
     Result(cfg, budget, rows)
   }
 
   def render(r: Result): String = {
-    val header = Seq("method", "enc size", "fits@large",
-      "NN small", "LR small", "SVM small", "NN large", "LR large", "SVM large")
+    val header = Seq("method", "enc size", "fits@large") ++
+      Kinds.map(_ + " small") ++ Kinds.map(_ + " large")
     val body = r.rows.map { row =>
-      Seq(row.method, BenchUtil.fmtBytes(row.encodedBytes),
-        if (row.fitsLarge) "yes" else "NO",
-        BenchUtil.fmtSec(row.nn.smallTotalSec), BenchUtil.fmtSec(row.lr.smallTotalSec),
-        BenchUtil.fmtSec(row.svm.smallTotalSec),
-        BenchUtil.fmtSec(row.nn.largeTotalSec), BenchUtil.fmtSec(row.lr.largeTotalSec),
-        BenchUtil.fmtSec(row.svm.largeTotalSec))
+      Seq(row.method, BenchUtil.fmtBytes(row.encodedBytes), if (row.fitsLarge) "yes" else "NO") ++
+        Kinds.map(k => BenchUtil.fmtSec(row.cells(k).smallTotalSec)) ++
+        Kinds.map(k => BenchUtil.fmtSec(row.cells(k).largeTotalSec))
     }
     val cfg = r.config
     s"dataset=${cfg.spec.name} smallRows=${cfg.smallRows} largeScale=${LargeScale}x " +
@@ -169,11 +174,8 @@ object EndToEnd {
 
   /** Speedup of TOC over `other` on the large config for a model kind. */
   def speedupLarge(r: Result, other: String, kind: String): Double = {
-    def cellOf(m: MethodRow): Cell = kind match {
-      case "NN" => m.nn; case "LR" => m.lr; case "SVM" => m.svm
-    }
     val toc = r.rows.find(_.method == "TOC").get
     val o = r.rows.find(_.method == other).get
-    cellOf(o).largeTotalSec / cellOf(toc).largeTotalSec
+    o.cells(kind).largeTotalSec / toc.cells(kind).largeTotalSec
   }
 }

@@ -19,7 +19,10 @@ object MatrixOps {
   val MCols: Int = 20
   val Reps: Int = 5
 
-  def benchDataset(spec: DatasetSpec): Seq[Row] = {
+  /** The §5.2 table, on the census-, imagenet- and kdd99-like batches. */
+  def table(): Seq[Row] = Seq(Datasets.census, Datasets.imagenet, Datasets.kdd99).flatMap(benchDataset)
+
+  private def benchDataset(spec: DatasetSpec): Seq[Row] = {
     val (x, _) = Datasets.slice(spec, 0, BatchRows)
     val v = Array.tabulate(spec.cols)(j => math.sin(j + 1.0))
     val vLeft = Array.tabulate(BatchRows)(i => math.cos(i + 1.0))

@@ -14,7 +14,8 @@ package repro.core
   * code `D(j)` as its parent, and a first-layer node has the root), so
   * they form a tree of their own. It is numbered in creation order, so
   * every parent stays below its child, and `codes` is `D` renumbered into
-  * it: the kernels scan `codes` where the paper scans `D`.
+  * it: the kernels scan `codes` where the paper scans `D`. Tuple `r`'s
+  * codes are `codes(rowPtr(r) until rowPtr(r + 1))`, as in CSR's `rowPtr`.
   *
   * Keys are stored as parallel primitive arrays (column / value /
   * parent) so the single-scan kernels of Algorithms 4/5/7/8 run without
@@ -25,7 +26,8 @@ final class DecodeTree(
     val keyCols: Array[Int],
     val keyVals: Array[Double],
     val parents: Array[Int],
-    val codes: Array[Int]
+    val codes: Array[Int],
+    val rowPtr: Array[Int] // length numRows + 1
 ) {
   /** Number of nodes including the root. */
   def size: Int = parents.length
@@ -53,15 +55,14 @@ object DecodeTree {
     */
   def buildFromPhysical(p: TocPhysical): DecodeTree = {
     val tokens = p.tokens
-    val rowStarts = p.rowStarts
-    val numRows = rowStarts.length
-    def end(r: Int): Int = if (r + 1 < numRows) rowStarts(r + 1) else tokens.length
+    val numRows = p.numRows
+    val rowPtr = p.rowStarts :+ tokens.length
     val iCols = p.iCols; val iValIdx = p.iValIdx; val dict = p.dict
     val iLen = iCols.length
     // Every code but a tuple's last adds a node to the full tree.
     var n = 1 + iLen + tokens.length
     var r = 0
-    while (r < numRows) { if (rowStarts(r) < end(r)) n -= 1; r += 1 }
+    while (r < numRows) { if (rowPtr(r) < rowPtr(r + 1)) n -= 1; r += 1 }
 
     // Mark pass: flag each named node and count the distinct ones.
     val ids = new Array[Int](n)
@@ -101,8 +102,8 @@ object DecodeTree {
     var idxSeqNum = iLen + 1
     r = 0
     while (r < numRows) {
-      val to = end(r)
-      j = rowStarts(r)
+      val to = rowPtr(r + 1)
+      j = rowPtr(r)
       if (j < to) checkCode(tokens(j), idxSeqNum - 1)
       while (j < to - 1) {
         val code = tokens(j)
@@ -125,6 +126,6 @@ object DecodeTree {
       r += 1
     }
     keyCols(0) = 0; keyVals(0) = 0.0; parents(0) = -1
-    new DecodeTree(keyCols, keyVals, parents, codes)
+    new DecodeTree(keyCols, keyVals, parents, codes, rowPtr)
   }
 }

@@ -37,11 +37,10 @@ object PrefixTreeEncoder {
     // Phase I: node 1..|I| for each unique pair, in first-occurrence order;
     // `pairNodes` holds every pair's first-layer node. A value's first
     // occurrence is also its pair's, so numbering values as they come
-    // gives `I`'s value index (§3.2) in the dictionary's order; the table
-    // stores index + 1.
-    val valueIds, firstLayer = new LongIntTable
+    // gives `I`'s value index (§3.2) in the dictionary's order.
+    val values = new ValueIndex
+    val firstLayer = new LongIntTable
     val iCols, iValIdx = Array.newBuilder[Int]
-    val dict = Array.newBuilder[Double]
     val pairNodes = new Array[Int](b.foldLeft(0)(_ + _.length))
     var p = 0
     var r = 0
@@ -49,9 +48,7 @@ object PrefixTreeEncoder {
       val t = b(r)
       var j = 0
       while (j < t.length) {
-        val bits = java.lang.Double.doubleToRawLongBits(t.vals(j))
-        var v = valueIds.putIfAbsent(bits, valueIds.size + 1) - 1
-        if (v < 0) { v = valueIds.size - 1; dict += t.vals(j) }
+        val v = values(t.vals(j))
         var n = firstLayer.putIfAbsent(key(t.cols(j), v), firstLayer.size + 1)
         if (n == 0) { n = firstLayer.size; iCols += t.cols(j); iValIdx += v }
         pairNodes(p) = n
@@ -88,7 +85,7 @@ object PrefixTreeEncoder {
       }
       r += 1
     }
-    LogicalEncoded(FirstLayer(iCols.result(), iValIdx.result(), dict.result()),
+    LogicalEncoded(FirstLayer(iCols.result(), iValIdx.result(), values.dict),
       java.util.Arrays.copyOf(pairNodes, numTokens), rowStarts)
   }
 }

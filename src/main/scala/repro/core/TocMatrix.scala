@@ -41,11 +41,11 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       i += 1
     }
     val r = new Array[Double](numRows)
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
-      var j = starts(row)
+      val to = rowPtr(row + 1)
+      var j = rowPtr(row)
       var s = 0.0
       while (j < to) { s += h(codes(j)); j += 1 }
       r(row) = s
@@ -61,11 +61,11 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     require(v.length == numRows)
     val tree = cachedTree
     val h = new Array[Double](tree.size)
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
-      var j = starts(row)
+      val to = rowPtr(row + 1)
+      var j = rowPtr(row)
       while (j < to) { h(codes(j)) += v(row); j += 1 }
       row += 1
     }
@@ -100,12 +100,12 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       i += 1
     }
     val out = new Array[Double](numRows * p)
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
+      val to = rowPtr(row + 1)
       val rBase = row * p
-      var j = starts(row)
+      var j = rowPtr(row)
       while (j < to) {
         val hBase = codes(j) * p
         var c = 0
@@ -132,12 +132,12 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     // (small) per-node granularity.
     val mT = m.transpose.data                   // numRows x p
     val h = new Array[Double](tree.size * p)
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
+      val to = rowPtr(row + 1)
       val mBase = row * p
-      var j = starts(row)
+      var j = rowPtr(row)
       while (j < to) {
         val hBase = codes(j) * p
         var k = 0
@@ -173,12 +173,12 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   private def timesMatrixByChains(tree: DecodeTree, m: DenseMatrix): DenseMatrix = {
     val p = m.cols
     val out = new Array[Double](numRows * p)
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
+      val to = rowPtr(row + 1)
       val rBase = row * p
-      var j = starts(row)
+      var j = rowPtr(row)
       while (j < to) {
         var cur = codes(j)
         while (cur != 0) {
@@ -200,12 +200,12 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     val p = m.rows
     val mT = m.transpose.data                   // numRows x p
     val outT = new Array[Double](numCols * p)   // column-major accumulator
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
+      val to = rowPtr(row + 1)
       val mBase = row * p
-      var j = starts(row)
+      var j = rowPtr(row)
       while (j < to) {
         var cur = codes(j)
         while (cur != 0) {
@@ -232,11 +232,11 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def decode: DenseMatrix = {
     val tree = cachedTree
     val out = DenseMatrix.zeros(numRows, numCols)
-    val codes = tree.codes; val starts = physical.rowStarts
+    val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
-      val to = if (row + 1 < numRows) starts(row + 1) else codes.length
-      var j = starts(row)
+      val to = rowPtr(row + 1)
+      var j = rowPtr(row)
       while (j < to) {
         var cur = codes(j)
         while (cur != 0) {

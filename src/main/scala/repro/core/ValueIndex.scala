@@ -5,18 +5,26 @@ package repro.core
   * their raw bits, so `-0.0` stays apart from `0.0` and a NaN decodes to
   * the same bits.
   */
+final class ValueIndex {
+  private val ids = new LongIntTable // index + 1
+  private val values = Array.newBuilder[Double]
+
+  /** The index of `v`, the next free one if `v` is new. */
+  def apply(v: Double): Int = {
+    val id = ids.putIfAbsent(java.lang.Double.doubleToRawLongBits(v), ids.size + 1)
+    if (id > 0) id - 1 else { values += v; ids.size - 1 }
+  }
+
+  /** The distinct values indexed so far, in first-occurrence order. */
+  def dict: Array[Double] = values.result()
+}
+
 object ValueIndex {
   /** `(dictionary, index of each value)`. */
   def apply(values: Array[Double]): (Array[Double], Array[Int]) = {
-    val ids = new LongIntTable // index + 1
-    val dict = Array.newBuilder[Double]
+    val index = new ValueIndex
     val idx = new Array[Int](values.length)
-    var k = 0
-    while (k < values.length) {
-      idx(k) = ids.putIfAbsent(java.lang.Double.doubleToRawLongBits(values(k)), ids.size + 1) - 1
-      if (idx(k) < 0) { idx(k) = ids.size - 1; dict += values(k) }
-      k += 1
-    }
-    (dict.result(), idx)
+    for (k <- values.indices) idx(k) = index(values(k))
+    (index.dict, idx)
   }
 }

@@ -38,7 +38,7 @@ final case class DatasetSpec(
     mutationRate: Double,    // chance a variant cell's value is re-drawn per row
     numClasses: Int,
     seed: Long
-) extends Serializable
+)
 
 object Datasets {
 
@@ -98,7 +98,7 @@ object Datasets {
   /** Per-spec derived state (segment variants, value pool, true model) —
     * cheap to rebuild, so Spark executors reconstruct it per partition.
     */
-  final class GenContext(val spec: DatasetSpec) extends Serializable {
+  final class GenContext(val spec: DatasetSpec) {
     val pool: Array[Double] =
       if (spec.valuePoolSize == 0) Array.empty
       else Array.tabulate(spec.valuePoolSize)(j =>

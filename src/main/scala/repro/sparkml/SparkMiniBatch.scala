@@ -24,13 +24,9 @@ object SparkMiniBatch {
     * Row content is the same pure function of (spec, id) the local path
     * uses, evaluated inside executors.
     */
-  def generateDf(spark: SparkSession, spec: DatasetSpec, numRows: Long,
-                 numPartitions: Int = 0): DataFrame = {
+  def generateDf(spark: SparkSession, spec: DatasetSpec, numRows: Long, numPartitions: Int): DataFrame = {
     import spark.implicits._
-    val base =
-      if (numPartitions > 0) spark.range(0, numRows, 1, numPartitions)
-      else spark.range(numRows)
-    base.mapPartitions { it =>
+    spark.range(0, numRows, 1, numPartitions).mapPartitions { it =>
       val ctx = new Datasets.GenContext(spec)
       it.map { idRow =>
         val i = idRow

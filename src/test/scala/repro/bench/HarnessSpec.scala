@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.Datasets
+import repro.data.{DatasetSpec, Datasets}
 import repro.io.StorageSim
 
 /** Unit coverage for the table harness logic itself (the bench project
@@ -26,7 +26,7 @@ class HarnessSpec extends AnyFunSuite {
     val sim = StorageSim(res.memoryBudgetBytes, EndToEnd.DiskMbPerSec * 1024 * 1024)
     val cvi = byName("CVI")
     val expectedIo = sim.totalIoSeconds(cvi.encodedBytes * EndToEnd.LargeScale, EndToEnd.Epochs)
-    assert(math.abs(cvi.lr.largeTotalSec - (cvi.lr.computeSec * EndToEnd.LargeScale + expectedIo)) < 1e-6)
+    assert(math.abs(cvi.cells("LR").largeTotalSec - (cvi.cells("LR").computeSec * EndToEnd.LargeScale + expectedIo)) < 1e-6)
   }
 
   test("speedupLarge is the ratio of large totals") {
@@ -34,7 +34,19 @@ class HarnessSpec extends AnyFunSuite {
     val toc = res.rows.find(_.method == "TOC").get
     val den = res.rows.find(_.method == "DEN").get
     val s = EndToEnd.speedupLarge(res, "DEN", "LR")
-    assert(math.abs(s - den.lr.largeTotalSec / toc.lr.largeTotalSec) < 1e-9)
+    assert(math.abs(s - den.cells("LR").largeTotalSec / toc.cells("LR").largeTotalSec) < 1e-9)
+  }
+
+  test("Tables 6 and 7 name their analogs at Table 5's rows, and render kinds small then large") {
+    def at(spec: DatasetSpec) = EndToEnd.Config(spec, Table5.analogRows(spec.name).toInt)
+    assert(EndToEnd.Table6 == Seq(at(Datasets.imagenet), at(Datasets.mnist)))
+    assert(EndToEnd.Table7 == Seq(at(Datasets.census), at(Datasets.kdd99)))
+    val row = EndToEnd.MethodRow("TOC", 1L, fitsLarge = true,
+      EndToEnd.Kinds.map(_ -> EndToEnd.Cell(1.0, 1.0, 1.0)).toMap)
+    val header = EndToEnd.render(EndToEnd.Result(EndToEnd.Config(Datasets.kdd99, 1), 1L, Seq(row)))
+      .linesIterator.drop(1).next().split('|').map(_.trim).filter(_.nonEmpty).toSeq
+    assert(header == Seq("method", "enc size", "fits@large",
+      "NN small", "LR small", "SVM small", "NN large", "LR large", "SVM large"))
   }
 
   test("Table5.measure extrapolates text size from the sampled rows") {

@@ -123,7 +123,7 @@ object TocViews {
       }
       r += 1
     }
-    new DecodeTree(keyCols, keyVals, parents, tokens)
+    new DecodeTree(keyCols, keyVals, parents, tokens, rowStarts :+ tokens.length)
   }
 
   /** The physical arrays of the logical outputs. */

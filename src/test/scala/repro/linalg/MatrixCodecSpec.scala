@@ -3,7 +3,7 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.EncodingConformanceSpec
 import repro.core.CorruptBatchException
-import repro.data.Datasets
+import repro.data.{DatasetSpec, Datasets}
 
 class MatrixCodecSpec extends AnyFunSuite {
 
@@ -99,13 +99,27 @@ class MatrixCodecSpec extends AnyFunSuite {
       ("CLA", Datasets.kdd99, 11526, "62311c34570b1c4e4ba4afb9f5db51603bbeedf8dabc1344c48c9c0a6d357a3f"),
       ("CLA", Datasets.rcv1, 1080848, "8dde6158afc22bf1da27508f9c9abe9df3751cb52525a42e37d66d20dacec276"),
       ("CLA", Datasets.deep1b, 192392, "a58f84257ae5e510f47e76720dabeab7273e668c77fb5c3382449cc1b7b375e0"))
+    assertPinned(pinned)
+  }
+
+  test("CSR bytes of every analog's 250-row slice stay the same (pinned SHA-256)") {
+    assertPinned(Seq(
+      ("CSR", Datasets.census, 86200, "addfadaf39c0a402847bc666c8f79731a4d3815d4df3d01cc4a44143b594d4d3"),
+      ("CSR", Datasets.imagenet, 870040, "1ce37329a4686f5649333402c4bc87da66d20e73bd2e878c95f29e8bd8b9298c"),
+      ("CSR", Datasets.mnist, 594892, "11ac2595c7085772ca29769f3121bc538906e071ba90654b9fdc2646d53d0300"),
+      ("CSR", Datasets.kdd99, 37624, "3269709295ed43543b537288febec46a7f42bc44f949bba6f5535a6b2378cdb4"),
+      ("CSR", Datasets.rcv1, 20272, "396c94a5e44934a9ceec697c30586a374af85986108dcc1ee8037b939225600e"),
+      ("CSR", Datasets.deep1b, 289012, "1c914a309d1187e66ac89ac768ee518318df685af2bb12bc6d2fce1317b48bcb")))
+  }
+
+  /** Checks each (encoding, analog, length, SHA-256) against the bytes of the analog's 250-row slice. */
+  def assertPinned(pinned: Seq[(String, DatasetSpec, Int, String)]): Unit =
     for ((enc, spec, length, sha) <- pinned) {
       val bytes = Encodings.byName(enc).encode(Datasets.slice(spec, 0, 250)._1).toBytes
       assert(bytes.length == length, s"$enc ${spec.name}")
       assert(java.security.MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString == sha,
         s"$enc ${spec.name}")
     }
-  }
 
   test("a DEN header whose rows x cols overflows throws CorruptBatchException") {
     val header = java.nio.ByteBuffer.allocate(8).order(java.nio.ByteOrder.LITTLE_ENDIAN)
