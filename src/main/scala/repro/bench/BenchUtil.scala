@@ -1,5 +1,8 @@
 package repro.bench
 
+import repro.core.{TocEncoder, TocMatrix}
+import repro.linalg.CompressedMatrix
+
 /** Timing and table-formatting helpers shared by the per-table harnesses. */
 object BenchUtil {
 
@@ -43,6 +46,19 @@ object BenchUtil {
     }
     java.util.Arrays.sort(times)
     if (n % 2 == 1) times(n / 2) else (times(n / 2 - 1) + times(n / 2)) / 2
+  }
+
+  /** What a timed §5.2/§5.4 cell calls to get its operand `a`. TOC is
+    * parsed from its bytes on every call, so each op pays the §4.1.1 parse
+    * and the Algorithm 2 tree build, the paper's per-op accounting (the
+    * in-memory object memoizes C′), as Gzip and Snappy pay inflation every
+    * time; every other encoding is timed resident.
+    */
+  def timedOperand(a: CompressedMatrix): () => CompressedMatrix = a match {
+    case toc: TocMatrix =>
+      val bytes = toc.toBytes
+      () => TocEncoder.fromBytes(bytes)
+    case other => () => other
   }
 
   /** Render an aligned text table. */

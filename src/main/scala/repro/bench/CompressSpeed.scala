@@ -24,15 +24,7 @@ object CompressSpeed {
     val (x, _) = Datasets.slice(spec, 0, BatchRows)
     methods.map { name =>
       val enc = Encodings.byName(name)
-      val compressed = enc.encode(x)
-      // TOC decompression is measured from bytes (parse + tree build +
-      // backtrack), mirroring how Gzip/Snappy pay inflation every time.
-      val mk: () => repro.linalg.CompressedMatrix = compressed match {
-        case toc: repro.core.TocMatrix =>
-          val bytes = toc.toBytes
-          () => repro.core.TocEncoder.fromBytes(bytes)
-        case other => () => other
-      }
+      val mk = BenchUtil.timedOperand(enc.encode(x))
       Row(spec.name, name,
         compressSec = BenchUtil.warmMedianSec(Reps)(enc.encode(x)),
         decompressSec = BenchUtil.warmMedianSec(Reps)(mk().decode))

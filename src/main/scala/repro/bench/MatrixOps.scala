@@ -31,16 +31,7 @@ object MatrixOps {
 
     Encodings.all.flatMap { enc =>
       val name = enc.name
-      val a = enc.encode(x)
-      // TOC ops are measured from the physical bytes so each op pays the
-      // §4.1.1 parse and the Algorithm 2 tree build, exactly the paper's
-      // per-op accounting (the in-memory object memoizes C').
-      val mk: () => repro.linalg.CompressedMatrix = a match {
-        case toc: repro.core.TocMatrix =>
-          val bytes = toc.toBytes
-          () => repro.core.TocEncoder.fromBytes(bytes)
-        case other => () => other
-      }
+      val mk = BenchUtil.timedOperand(enc.encode(x))
       Seq(
         Row(spec.name, name, "A.*c", BenchUtil.warmMedianSec(Reps)(mk().timesScalar(1.0001))),
         Row(spec.name, name, "A.v", BenchUtil.warmMedianSec(Reps)(mk().timesVector(v))),

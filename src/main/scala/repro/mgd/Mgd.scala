@@ -2,7 +2,9 @@ package repro.mgd
 
 import repro.linalg.{DenseMatrix, MatrixEncoder}
 
-/** Local (single-JVM) mini-batch SGD driver (§2.1.2, Equation 2).
+/** Mini-batch SGD (§2.1.2, Equation 2): the one per-batch step loop and
+  * the one loss sum, which the local driver here and the Spark tasks of
+  * [[repro.sparkml.SparkMgd]] both run.
   *
   * Follows the paper's protocol: shuffle once up front (§2.1.3) — here
   * batches are materialized in an already-shuffled order by the dataset
@@ -13,24 +15,30 @@ object Mgd {
   /** The trained model and the mean loss over all batches after each epoch. */
   final case class TrainResult(model: Model, lossPerEpoch: Seq[Double])
 
-  /** Train `model` in place over `batches` for `epochs`. */
-  def train(batches: IndexedSeq[MiniBatch], model: Model, lr: Double, epochs: Int): TrainResult = {
-    val losses = Seq.newBuilder[Double]
-    var e = 0
-    while (e < epochs) {
-      var b = 0
-      while (b < batches.length) { model.step(batches(b), lr); b += 1 }
-      losses += meanLoss(batches, model)
-      e += 1
-    }
-    TrainResult(model, losses.result())
+  /** One epoch: step `model` in place once per batch, in order; returns
+    * the rows stepped over.
+    */
+  def epoch(batches: Iterator[MiniBatch], model: Model, lr: Double): Long = {
+    var rows = 0L
+    batches.foreach { b => model.step(b, lr); rows += b.size }
+    rows
   }
+
+  /** Batch-size-weighted loss sum over `batches`, and their row count. */
+  def lossSum(batches: Iterator[MiniBatch], model: Model): (Double, Long) = {
+    var s = 0.0; var rows = 0L
+    batches.foreach { b => s += model.loss(b) * b.size; rows += b.size }
+    (s, rows)
+  }
+
+  /** Train `model` in place over `batches` for `epochs`. */
+  def train(batches: IndexedSeq[MiniBatch], model: Model, lr: Double, epochs: Int): TrainResult =
+    TrainResult(model, Seq.fill(epochs) { epoch(batches.iterator, model, lr); meanLoss(batches, model) })
 
   /** Mean loss over all batches (batch-size weighted). */
   def meanLoss(batches: IndexedSeq[MiniBatch], model: Model): Double = {
-    var s = 0.0; var n = 0L
-    batches.foreach { b => s += model.loss(b) * b.size; n += b.size }
-    s / n
+    val (s, rows) = lossSum(batches.iterator, model)
+    s / rows
   }
 
   /** Slice a dense dataset + labels into encoded mini-batches of

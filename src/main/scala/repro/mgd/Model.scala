@@ -4,8 +4,10 @@ package repro.mgd
   *
   * `step` performs one MGD update `h ← h − λ · (1/|B|) Σ ∂ℓ/∂h` using the
   * compressed kernels of the batch's encoding; `loss` evaluates the
-  * empirical risk on a batch. Parameters are exposed flattened so the
-  * Spark layer can average models across partitions.
+  * empirical risk on a batch. Both drivers call them only through
+  * [[Mgd.epoch]] and [[Mgd.lossSum]]. Parameters are exposed flattened so
+  * the Spark driver can average the partitions' models, weighted by the
+  * rows each partition decoded.
   */
 trait Model extends Serializable {
   /** One MGD update on `batch` with learning rate `lr` (in place). */

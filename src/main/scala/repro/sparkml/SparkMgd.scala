@@ -5,28 +5,23 @@ import repro.mgd.{Mgd, Model}
 
 /** Distributed MGD over encoded mini-batches (DESIGN.md §3).
   *
-  * Per epoch: broadcast the current parameters, run *sequential* MGD over
+  * Per epoch: broadcast the current parameters, run [[Mgd.epoch]] over
   * each partition's compressed batches inside the executor (the paper's
   * UDF-updates-model-in-arena pattern, App. D.1), then average the
-  * partition models weighted by their row counts — the classical
-  * parallel mini-batch training scheme the paper cites for NN ([13],
-  * parameter averaging). With one partition this is exactly sequential
-  * MGD, which the tests assert.
+  * partition models weighted by the rows each task decoded — the
+  * classical parallel mini-batch training scheme the paper cites for NN
+  * ([13], parameter averaging). With one partition this is the local
+  * sequential MGD of [[Mgd.train]].
   */
 object SparkMgd {
 
   /** One epoch of per-partition training + parameter averaging. */
   def trainEpoch(batches: Dataset[EncodedBatchRow], model: Model, lr: Double): Model = {
-    val spark = batches.sparkSession
-    val bcModel = spark.sparkContext.broadcast(model)
+    val bcModel = batches.sparkSession.sparkContext.broadcast(model)
     val partials = batches.rdd
       .mapPartitions { it =>
         val local = bcModel.value.copyModel
-        var rows = 0L
-        it.foreach { row =>
-          local.step(SparkMiniBatch.decodeBatch(row), lr)
-          rows += row.n
-        }
+        val rows = Mgd.epoch(it.map(SparkMiniBatch.decodeBatch), local, lr)
         if (rows == 0) Iterator.empty else Iterator.single((local.params, rows))
       }
       .collect()
@@ -47,25 +42,15 @@ object SparkMgd {
   }
 
   /** Mean loss over all batches under the current model (SQL-free: one
-    * pass of the compressed kernels per partition).
+    * [[Mgd.lossSum]] over the compressed kernels per partition).
     */
   def meanLoss(batches: Dataset[EncodedBatchRow], model: Model): Double = {
-    val spark = batches.sparkSession
-    val bcModel = spark.sparkContext.broadcast(model)
-    val (lossSum, rowSum) = batches.rdd
-      .mapPartitions { it =>
-        val local = bcModel.value
-        var s = 0.0; var n = 0L
-        it.foreach { row =>
-          val b = SparkMiniBatch.decodeBatch(row)
-          s += local.loss(b) * b.size
-          n += b.size
-        }
-        Iterator.single((s, n))
-      }
+    val bcModel = batches.sparkSession.sparkContext.broadcast(model)
+    val (lossSum, rows) = batches.rdd
+      .mapPartitions(it => Iterator.single(Mgd.lossSum(it.map(SparkMiniBatch.decodeBatch), bcModel.value)))
       .reduce((a, b) => (a._1 + b._1, a._2 + b._2))
     bcModel.destroy()
-    lossSum / rowSum
+    lossSum / rows
   }
 
   /** Full training loop: `epochs` rounds of epoch + averaging, each
@@ -73,13 +58,7 @@ object SparkMgd {
     */
   def train(batches: Dataset[EncodedBatchRow], model: Model, lr: Double, epochs: Int): Mgd.TrainResult = {
     var cur = model
-    val losses = Seq.newBuilder[Double]
-    var e = 0
-    while (e < epochs) {
-      cur = trainEpoch(batches, cur, lr)
-      losses += meanLoss(batches, cur)
-      e += 1
-    }
-    Mgd.TrainResult(cur, losses.result())
+    val losses = Seq.fill(epochs) { cur = trainEpoch(batches, cur, lr); meanLoss(batches, cur) }
+    Mgd.TrainResult(cur, losses)
   }
 }

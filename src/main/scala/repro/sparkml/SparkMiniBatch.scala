@@ -2,6 +2,7 @@ package repro.sparkml
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.CorruptBatchException
 import repro.data.{DatasetSpec, Datasets}
 import repro.linalg.{DenseMatrix, Encodings, MatrixCodec}
 import repro.mgd.MiniBatch
@@ -71,9 +72,17 @@ object SparkMiniBatch {
     */
   def batchId(pid: Int, bi: Int): Long = (pid.toLong << 32) | bi
 
-  /** Decode a DataFrame row back to a [[MiniBatch]] (executor side). */
-  def decodeBatch(row: EncodedBatchRow): MiniBatch =
-    MiniBatch(MatrixCodec.deserialize(row.x), MatrixCodec.deserializeVector(row.y))
+  /** Decode a DataFrame row back to a [[MiniBatch]] (executor side). The
+    * row's bytes come from outside the program, so its matrix rows, its
+    * labels and its `n` must agree, or this throws [[CorruptBatchException]].
+    */
+  def decodeBatch(row: EncodedBatchRow): MiniBatch = {
+    val x = MatrixCodec.deserialize(row.x)
+    val y = MatrixCodec.deserializeVector(row.y)
+    CorruptBatchException.check(x.numRows == y.length && y.length == row.n,
+      s"batch ${row.batch_id}: ${x.numRows} matrix rows, ${y.length} labels, n = ${row.n}")
+    MiniBatch(x, y)
+  }
 
   /** Total serialized size of all encoded batches, via a SQL aggregate. */
   def encodedSizeBytes(batches: Dataset[EncodedBatchRow]): Long = {

@@ -58,15 +58,24 @@ class SparkMgdSpec extends SparkSpec {
   }
 
   test("averaging weights partitions by row count") {
-    // Two partitions of different sizes: the averaged parameters must lie
-    // between the per-partition results, closer to the bigger partition.
-    val batches = encodedBatches(600, 3).cache()
-    try {
-      val model = new LogisticRegression(68)
-      val out = SparkMgd.trainEpoch(batches, model, 0.1)
-      assert(out.params.exists(_ != 0.0))
-      assert(!(out.params sameElements model.params))
-    } finally batches.unpersist()
+    // Partitions of 100 and 300 rows, each stepped from the same start
+    // model: the average is their row-weighted mean, not their plain mean.
+    val rows = encodedBatches(400, 1).collect().sortBy(_.batch_id)
+    val parts = Seq(rows.take(1).toSeq, rows.drop(1).toSeq)
+    import spark.implicits._
+    val batches = spark.sparkContext.parallelize(parts, 2).flatMap(identity).toDS()
+    val start = new LogisticRegression(68)
+    val out = SparkMgd.trainEpoch(batches, start, 0.1).params
+    val (p, stepped) = parts.map { part =>
+      val m = start.copyModel
+      val n = Mgd.epoch(part.iterator.map(SparkMiniBatch.decodeBatch), m, 0.1)
+      (m.params, n)
+    }.unzip
+    assert(stepped == Seq(100L, 300L))
+    val weighted = p(0).indices.map(i => 0.25 * p(0)(i) + 0.75 * p(1)(i))
+    val plain = p(0).indices.map(i => 0.5 * (p(0)(i) + p(1)(i)))
+    assert(out.indices.forall(i => math.abs(out(i) - weighted(i)) <= 1e-12))
+    assert(out.indices.exists(i => math.abs(out(i) - plain(i)) > 1e-12))
   }
 
   test("meanLoss agrees with local mean loss on the same data") {

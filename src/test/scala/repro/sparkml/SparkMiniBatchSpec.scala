@@ -1,7 +1,9 @@
 package repro.sparkml
 
 import repro.SparkSpec
+import repro.core.{CorruptBatchException, TocEncoder}
 import repro.data.Datasets
+import repro.linalg.MatrixCodec
 
 /** Spark-side generation and per-partition encoding. */
 class SparkMiniBatchSpec extends SparkSpec {
@@ -36,6 +38,24 @@ class SparkMiniBatchSpec extends SparkSpec {
           assert(expectRows.contains((dense.row(i).toSeq, mb.y(i))), s"batch ${b.batch_id} row $i")
       }
     }
+  }
+
+  /** A 3-row census-like TOC batch as its Spark row. */
+  def censusRow(): EncodedBatchRow = {
+    val (x, y) = Datasets.slice(Datasets.census, 0, 3)
+    EncodedBatchRow(0L, 3, MatrixCodec.serialize(TocEncoder.encode(x)), MatrixCodec.serializeVector(y))
+  }
+
+  test("decodeBatch: a row whose labels lost one throws CorruptBatchException") {
+    val row = censusRow()
+    assert(SparkMiniBatch.decodeBatch(row).size == 3)
+    intercept[CorruptBatchException](SparkMiniBatch.decodeBatch(row.copy(y = row.y.dropRight(8))))
+  }
+
+  test("decodeBatch: a row whose n disagrees with its decoded rows throws CorruptBatchException") {
+    val row = censusRow()
+    intercept[CorruptBatchException](SparkMiniBatch.decodeBatch(row.copy(n = 4)))
+    intercept[CorruptBatchException](SparkMiniBatch.decodeBatch(row.copy(n = 2)))
   }
 
   test("batch ids are unique and batches respect the batch size") {
