@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{ByteReader, ByteWriter, SparseEncoder}
+import repro.core.{ByteReader, ByteWriter, CorruptBatchException, SparseEncoder}
 import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
 
 /** A matrix stored row by row as CSR stores it: for row `i`, positions
@@ -149,10 +149,23 @@ object CsrEncoder extends MatrixEncoder {
     new CsrMatrix(rows, cols, values, colIdx, rowPtr)
   }
 
-  /** The `rowPtr` and `colIdx` of CSR's layout, which CVI shares. */
+  /** The `rowPtr` and `colIdx` of CSR's layout, which CVI shares. Each
+    * row's columns must ascend strictly, as [[encode]] writes them: a
+    * repeated column would be added twice by the kernels but kept once by
+    * `decode`.
+    */
   private[baselines] def readIndex(r: ByteReader, rows: Int, cols: Int): (Array[Int], Array[Int]) = {
     val rowPtr = r.ints(rows + 1L)
     ByteReader.checkOffsets(rowPtr, "rowPtr")
-    (rowPtr, r.ints(rowPtr(rows), cols - 1))
+    val colIdx = r.ints(rowPtr(rows), cols - 1)
+    var ascending = true
+    var i = 0
+    while (i < rows) {
+      var k = rowPtr(i) + 1
+      while (k < rowPtr(i + 1)) { ascending &= colIdx(k - 1) < colIdx(k); k += 1 }
+      i += 1
+    }
+    CorruptBatchException.check(ascending, "colIdx: a row's columns do not ascend")
+    (rowPtr, colIdx)
   }
 }

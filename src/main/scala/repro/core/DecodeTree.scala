@@ -97,8 +97,15 @@ object DecodeTree {
     // Phase II: replay D. A code must name a node built before it, except
     // that `next` may name the node being built (the LZW self-reference
     // case); so every parent is below its node and no chain cycles.
+    // Each new node's key column (the next code's first column) must also
+    // be above its parent's last column (the current code's key column),
+    // as §3's sparse encoding emits every tuple's pairs in ascending
+    // column order. So every sequence ascends strictly, and no chain is
+    // longer than `numCols`: the self-reference case, which only a
+    // repeated column can build, is rejected.
     def checkCode(code: Int, last: Int): Unit =
       if (code > last) throw new CorruptBatchException(s"TOC code $code is not a node in 1..$last")
+    var ascending = true
     var idxSeqNum = iLen + 1
     r = 0
     while (r < numRows) {
@@ -113,6 +120,7 @@ object DecodeTree {
         val next = tokens(j + 1)
         checkCode(next, idxSeqNum)
         val f = first(next) - 1
+        ascending &= iCols(f) > keyCols(cur)
         val mark = ids(idxSeqNum)
         kept += mark
         val id = mark * kept
@@ -125,6 +133,7 @@ object DecodeTree {
       if (j < to) codes(j) = ids(tokens(j))
       r += 1
     }
+    CorruptBatchException.check(ascending, "TOC: a tuple's columns do not ascend")
     keyCols(0) = 0; keyVals(0) = 0.0; parents(0) = -1
     new DecodeTree(keyCols, keyVals, parents, codes, rowPtr)
   }

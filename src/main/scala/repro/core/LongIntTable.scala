@@ -8,7 +8,7 @@ package repro.core
   * of its Fibonacci product (`key * 2^64/φ`), so all 64 key bits count:
   * keys that agree in their low 32 bits still spread. A slot whose value is
   * 0 is empty, which is why values must be ≥ 1. The table doubles when it
-  * is more than half full.
+  * is more than half full, and [[clear]] keeps the capacity it reached.
   */
 final class LongIntTable {
   private var keys = new Array[Long](16)
@@ -18,6 +18,16 @@ final class LongIntTable {
 
   /** Number of keys stored. */
   def size: Int = used
+
+  /** Removes every key but keeps the slots, so a table refilled to the
+    * size it had probes memory it has already touched and does not grow.
+    * Only the values are zeroed: a slot whose value is 0 is empty, and its
+    * stale key is never read.
+    */
+  def clear(): Unit = {
+    java.util.Arrays.fill(values, 0)
+    used = 0
+  }
 
   @inline private def home(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
 

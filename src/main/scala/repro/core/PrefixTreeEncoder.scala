@@ -26,20 +26,48 @@ final case class LogicalEncoded(i: FirstLayer, tokens: Array[Int], rowStarts: Ar
   * [[LongIntTable]] probe per lookup-or-insert. Pairs are keyed on their
   * column and the raw bits of their value, so equal pairs always share a
   * node, NaN included.
+  *
+  * The tables outlive a call: one spare set per JVM is reused, so a batch
+  * probes slots already grown to a batch's size instead of doubling fresh
+  * tables from 16 slots and leaving them as garbage. A call takes the
+  * spare set, or makes its own while another thread holds it, and clears
+  * its set and puts it back when done. One set, not one per thread: a
+  * `ThreadLocal` set was as fast, but every Spark executor thread kept a
+  * set of its own.
   */
 object PrefixTreeEncoder {
+
+  /** The tables of one encode: value ids, first-layer nodes and the
+    * (node, pair) → child dictionary.
+    */
+  private final class Tables {
+    val values, firstLayer, children = new LongIntTable
+    def clear(): Unit = { values.clear(); firstLayer.clear(); children.clear() }
+  }
+
+  /** The spare set, empty, or null while a call holds it. */
+  private val spare = new java.util.concurrent.atomic.AtomicReference(new Tables)
 
   /** A table key for the int pair (`hi`, `lo`), `lo` ≥ 0. */
   @inline private def key(hi: Int, lo: Int): Long = (hi.toLong << 32) | lo
 
   /** Encode sparse table `B` into (`I`, `D`). */
   def encode(b: Array[SparseRow]): LogicalEncoded = {
+    val held = spare.getAndSet(null)
+    val tables = if (held != null) held else new Tables
+    val encoded = encode(b, tables)
+    tables.clear()
+    spare.set(tables)
+    encoded
+  }
+
+  private def encode(b: Array[SparseRow], tables: Tables): LogicalEncoded = {
     // Phase I: node 1..|I| for each unique pair, in first-occurrence order;
     // `pairNodes` holds every pair's first-layer node. A value's first
     // occurrence is also its pair's, so numbering values as they come
     // gives `I`'s value index (§3.2) in the dictionary's order.
-    val values = new ValueIndex
-    val firstLayer = new LongIntTable
+    val values = new ValueIndex(tables.values)
+    val firstLayer = tables.firstLayer
     val iCols, iValIdx = Array.newBuilder[Int]
     val pairNodes = new Array[Int](b.foldLeft(0)(_ + _.length))
     var p = 0
@@ -62,7 +90,7 @@ object PrefixTreeEncoder {
     // pair) where the match stops inside the tuple, then emit the match.
     // Every match is ≥ 1 pair long because phase I seeded every pair, so
     // the codes overwrite `pairNodes` behind the pairs still to be read.
-    val children = new LongIntTable
+    val children = tables.children
     var nextNode = firstLayer.size + 1
     val rowStarts = new Array[Int](b.length)
     var numTokens = 0

@@ -4,9 +4,13 @@ package repro.core
   * of the distinct values, in first-occurrence order. Values are keyed on
   * their raw bits, so `-0.0` stays apart from `0.0` and a NaN decodes to
   * the same bits.
+  *
+  * `ids` (index + 1 per value's bits) must start empty; Algorithm 1 passes
+  * a cleared table it reuses across batches.
   */
-final class ValueIndex {
-  private val ids = new LongIntTable // index + 1
+final class ValueIndex(ids: LongIntTable) {
+  def this() = this(new LongIntTable)
+
   private val values = Array.newBuilder[Double]
 
   /** The index of `v`, the next free one if `v` is new. */

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CorruptBatchException
 import repro.linalg.{DenseMatrix, TestMatrices}
 
 /** Per-scheme structural checks beyond the shared conformance suite. */
@@ -13,6 +14,18 @@ class SchemeSpecificSpec extends AnyFunSuite {
     assert(c.values.toSeq == Seq(2.0, 1.0, 3.0))
     assert(c.colIdx.toSeq == Seq(1, 0, 2))
     assert(c.rowPtr.toSeq == Seq(0, 1, 3, 3))
+  }
+
+  test("CSR and CVI reject a row whose columns repeat or descend") {
+    // One row of a 1 x 2 matrix; [0, 0] would be added twice by A·v but kept once by decode.
+    for (cols <- Seq(Array(0, 0), Array(1, 0))) withClue(cols.mkString("[", ", ", "]: ")) {
+      val csr = new CsrMatrix(1, 2, Array(1.0, 2.0), cols, Array(0, 2))
+      intercept[CorruptBatchException](CsrEncoder.fromBytes(csr.toBytes))
+      val cvi = new CviMatrix(1, 2, Array(1.0, 2.0), Array(0, 1), cols, Array(0, 2))
+      intercept[CorruptBatchException](CviEncoder.fromBytes(cvi.toBytes))
+    }
+    val ascending = new CsrMatrix(1, 2, Array(1.0, 2.0), Array(0, 1), Array(0, 2))
+    assert(CsrEncoder.fromBytes(ascending.toBytes).decode.data.toSeq == Seq(1.0, 2.0))
   }
 
   test("CVI dictionary holds distinct non-zero values only") {

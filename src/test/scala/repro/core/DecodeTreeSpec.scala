@@ -1,6 +1,6 @@
 package repro.core
 
-import org.scalacheck.{Prop, Test}
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TocViews._
@@ -63,6 +63,10 @@ class DecodeTreeSpec extends AnyFunSuite {
       Seq(Seq(1, 2, 3, 4), Seq(6, 3), Seq(5, 7), Seq(6)))
   }
 
+  /** Tables as §3's sparse encoding emits them: each tuple's columns ascend. */
+  val ascendingTables: Gen[Array[Array[ColValue]]] =
+    PrefixTreeEncoderSpec.largeTables.map(_.map(t => t.distinctBy(_.col).sortBy(_.col)))
+
   test("the kept tree gives every code the reference's sequence, and keeps 1 + the distinct codes (ScalaCheck)") {
     /** Empty when the kept tree agrees with the reference on `p`, else what differs. */
     def disagreement(p: TocPhysical): Option[String] = {
@@ -84,7 +88,7 @@ class DecodeTreeSpec extends AnyFunSuite {
       }
       None
     }
-    val prop = Prop.forAllNoShrink(PrefixTreeEncoderSpec.largeTables) { b =>
+    val prop = Prop.forAllNoShrink(ascendingTables) { b =>
       val d = disagreement(TocViews.physical(PrefixTreeEncoder.encode(sparse(b))))
       Prop(d.isEmpty) :| d.getOrElse("")
     }
@@ -95,5 +99,19 @@ class DecodeTreeSpec extends AnyFunSuite {
       val d = disagreement(TocEncoder.encode(x).physical)
       assert(d.isEmpty, s"${spec.name} batch $batch: ${d.getOrElse("")}")
     }
+  }
+
+  test("a table with a repeated or descending column in some tuple is rejected by the kept tree's build (ScalaCheck)") {
+    // Arbitrary tables, which Algorithm 1 encodes losslessly but no matrix
+    // gives, and ascending ones: the build throws exactly when some tuple's
+    // columns do not ascend.
+    val prop = Prop.forAllNoShrink(Gen.oneOf(PrefixTreeEncoderSpec.largeTables, ascendingTables)) { b =>
+      val ascending = b.forall(t => t.indices.drop(1).forall(j => t(j - 1).col < t(j).col))
+      val p = TocViews.physical(PrefixTreeEncoder.encode(sparse(b)))
+      val threw = try { DecodeTree.buildFromPhysical(p); false } catch { case _: CorruptBatchException => true }
+      Prop(threw != ascending) :| s"ascending $ascending, threw $threw"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 }

@@ -143,18 +143,20 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
 
   test("Algorithm 1 gives the same I, dict, tokens and rowStarts as a naive §3.1 reference (ScalaCheck)") {
     import PrefixTreeEncoderSpec._
-    def bits(a: Seq[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits)
-    val prop = Prop.forAllNoShrink(largeTables) { b =>
-      val (i, d) = reference(b)
-      val dict = bits(b.toSeq.flatten.map(_.value)).distinct
-      val enc = PrefixTreeEncoder.encode(sparse(b))
-      (enc.i.cols.toSeq == i.map(_.col)) :| "I's columns" &&
-      (bits(enc.i.dict.toSeq) == dict) :| "dict" &&
-      (enc.i.valIdx.toSeq == i.map(cv => dict.indexOf(key(cv)._2))) :| "I's value indexes" &&
-      (enc.tokens.toSeq == d.flatten) :| "tokens" &&
-      (enc.rowStarts.toSeq == d.scanLeft(0)(_ + _.length).init) :| "rowStarts"
-    }
+    val prop = Prop.forAllNoShrink(largeTables)(matchesReference)
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("encoding a large table, then smaller ones, on the reused tables matches the reference every time (ScalaCheck)") {
+    import PrefixTreeEncoderSpec._
+    // Largest first, so each later table is encoded on slots the first one
+    // grew and filled.
+    val sequences = Gen.listOfN(4, largeTables).map(_.sortBy(b => -b.map(_.length).sum))
+    val prop = Prop.forAllNoShrink(sequences) { bs =>
+      bs.zipWithIndex.map { case (b, k) => matchesReference(b) :| s"table $k" }.reduce(_ && _)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(2019L), prop)
     assert(result.passed, Pretty.pretty(result))
   }
 }
@@ -189,6 +191,21 @@ object PrefixTreeEncoderSpec {
       codes
     }
     (i, d)
+  }
+
+  /** `PrefixTreeEncoder.encode` on `b` gives [[reference]]'s `I` and `D`,
+    * and the dictionary of `b`'s distinct values in first-occurrence order.
+    */
+  def matchesReference(b: Array[Array[ColValue]]): Prop = {
+    def bits(a: Seq[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits)
+    val (i, d) = reference(b)
+    val dict = bits(b.toSeq.flatten.map(_.value)).distinct
+    val enc = PrefixTreeEncoder.encode(sparse(b))
+    (enc.i.cols.toSeq == i.map(_.col)) :| "I's columns" &&
+    (bits(enc.i.dict.toSeq) == dict) :| "dict" &&
+    (enc.i.valIdx.toSeq == i.map(cv => dict.indexOf(key(cv)._2))) :| "I's value indexes" &&
+    (enc.tokens.toSeq == d.flatten) :| "tokens" &&
+    (enc.rowStarts.toSeq == d.scanLeft(0)(_ + _.length).init) :| "rowStarts"
   }
 
   /** Doubles whose raw bits share their low 32 bits (all zero: small

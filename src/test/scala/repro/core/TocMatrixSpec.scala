@@ -91,6 +91,31 @@ class TocMatrixSpec extends AnyFunSuite {
     intercept[CorruptBatchException](Await.result(decoded, 10.seconds))
   }
 
+  test("a 1.8 MB chain of self-references (L = 600 000) throws CorruptBatchException within 1 s from decode, A·M and M·A") {
+    // I = [(0, 1.0)] and one row with codes 1..L: each code names the node
+    // being built, so the tuple would expand to L(L+1)/2 pairs of column 0.
+    val l = 600000
+    val bytes = TocPhysical(1, 1, Array(1.0), Array(0), Array(0), Array.range(1, l + 1), Array(0)).toBytes
+    val ops: Seq[(String, TocMatrix => Any)] = Seq(
+      "decode" -> (_.decode),
+      "A·M" -> (_.timesMatrix(DenseMatrix.rand(1, 200, seed = 1))),
+      "M·A" -> (_.leftTimes(DenseMatrix.rand(200, 1, seed = 2))))
+    for ((name, op) <- ops) withClue(s"$name: ") {
+      val start = System.nanoTime()
+      val result = Future(op(TocEncoder.fromBytes(bytes)))(ExecutionContext.global)
+      intercept[CorruptBatchException](Await.result(result, 10.seconds))
+      assert(System.nanoTime() - start < 1000000000L)
+    }
+  }
+
+  test("a tuple whose codes repeat a column throws CorruptBatchException, so no op can disagree with decode") {
+    // I = [(0, 1.0)] and D = [1, 1] would decode to [0:1, 0:1]: decode keeps
+    // one 1.0 where A·v adds both.
+    val toc = TocEncoder.fromBytes(TocPhysical(1, 1, Array(1.0), Array(0), Array(0), Array(1, 1), Array(0)).toBytes)
+    intercept[CorruptBatchException](toc.decode)
+    intercept[CorruptBatchException](toc.timesVector(Array(1.0)))
+  }
+
   test("a code that names no node, or one not built yet, throws CorruptBatchException") {
     // I = [(0, 1.0)]; the full tree has n = 1 + |I| + sum(len(D[i]) - 1) nodes.
     def bytes(rows: Seq[Seq[Int]]): Array[Byte] =

@@ -67,7 +67,11 @@ class TocPhysicalSpec extends AnyFunSuite {
     }
   }
 
-  test("the bytes of a fixed batch keep the §3.2 layout (pinned SHA-256)") {
+  def sha256(bytes: Array[Byte]): String =
+    MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString
+
+  /** Batch → (length, SHA-256) of its TOC bytes. */
+  lazy val pinned: Seq[(String, DenseMatrix, Int, String)] = {
     val rng = new scala.util.Random(2019)
     val cols = 40
     val base = Array.fill(20, cols)(if (rng.nextDouble() < 0.4) (rng.nextInt(300) + 1) * 0.25 else 0.0)
@@ -76,8 +80,7 @@ class TocPhysicalSpec extends AnyFunSuite {
       row(rng.nextInt(cols)) = (rng.nextInt(300) + 1) * 0.25
       row
     }.flatten
-    // Batch → (length, SHA-256) of its TOC bytes.
-    val pinned = Seq(
+    Seq(
       ("fixed", new DenseMatrix(250, cols, data), 7016,
         "397ed98c1fa06df96d99a6a63b707fe624acf9bad23f8361330e49cd7bb39ccb"),
       ("census-like", Datasets.slice(Datasets.census, 0, 250)._1, 5466,
@@ -93,11 +96,38 @@ class TocPhysicalSpec extends AnyFunSuite {
       // All-unique values: the longest dictionary.
       ("deep1b-like", Datasets.slice(Datasets.deep1b, 0, 250)._1, 310171,
         "831bb8bd3a15311e075f99571f8b0e123cb1cce93bd0142300c1727e5ff017a0"))
+  }
+
+  test("the bytes of a fixed batch keep the §3.2 layout (pinned SHA-256)") {
     for ((label, batch, length, sha) <- pinned) {
       val bytes = TocEncoder.encode(batch).toBytes
       assert(bytes.length == length, label)
-      assert(MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString == sha, label)
+      assert(sha256(bytes) == sha, label)
     }
+  }
+
+  test("4 threads encoding the imagenet- and mnist-like slices at once each get the pinned bytes") {
+    // The threads contend for Algorithm 1's one spare set of tables; a call
+    // that finds it taken encodes on tables of its own.
+    val slices = pinned.filter(p => p._1 == "imagenet-like" || p._1 == "mnist-like")
+    val rounds = 10
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val done = new java.util.concurrent.atomic.AtomicInteger
+    val threads = (0 until 4).map { t =>
+      new Thread(() =>
+        for (round <- 0 until rounds) {
+          val (label, batch, length, sha) = slices((t + round) % 2)
+          try {
+            val bytes = TocEncoder.encode(batch).toBytes
+            if (bytes.length != length || sha256(bytes) != sha) failures.add(s"thread $t round $round: $label bytes differ")
+          } catch { case e: Exception => failures.add(s"thread $t round $round: $label threw $e") }
+          done.incrementAndGet()
+        })
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(failures.isEmpty, failures)
+    assert(done.get == 4 * rounds)
   }
 
   test("a header claiming Int.MaxValue dictionary entries throws CorruptBatchException, not OutOfMemoryError") {

@@ -40,6 +40,23 @@ class SparkMiniBatchSpec extends SparkSpec {
     }
   }
 
+  test("encodeBatches(TOC) on 4 partitions gives each batch the bytes of a sequential TocEncoder.encode") {
+    // The 4 tasks may encode at once and share Algorithm 1's spare tables.
+    val df = SparkMiniBatch.generateDf(spark, Datasets.imagenet, 1000, numPartitions = 4).cache()
+    try {
+      val firstId = df.rdd.mapPartitionsWithIndex((pid, it) => it.take(1).map(r => pid -> r.getLong(0))).collect().toMap
+      val batchSize = 100
+      val batches = SparkMiniBatch.encodeBatches(df, batchSize, "TOC").collect()
+      assert(batches.map(_.n).sum == 1000)
+      assert(firstId.size == 4)
+      for (b <- batches) {
+        val from = firstId((b.batch_id >>> 32).toInt) + (b.batch_id & 0xffffffffL) * batchSize
+        val want = MatrixCodec.serialize(TocEncoder.encode(Datasets.slice(Datasets.imagenet, from, b.n)._1))
+        assert(java.util.Arrays.equals(b.x, want), s"batch ${b.batch_id}")
+      }
+    } finally df.unpersist()
+  }
+
   /** A 3-row census-like TOC batch as its Spark row. */
   def censusRow(): EncodedBatchRow = {
     val (x, y) = Datasets.slice(Datasets.census, 0, 3)
