@@ -27,13 +27,10 @@ final case class LogicalEncoded(i: FirstLayer, tokens: Array[Int], rowStarts: Ar
   * column and the raw bits of their value, so equal pairs always share a
   * node, NaN included.
   *
-  * The tables outlive a call: one spare set per JVM is reused, so a batch
-  * probes slots already grown to a batch's size instead of doubling fresh
-  * tables from 16 slots and leaving them as garbage. A call takes the
-  * spare set, or makes its own while another thread holds it, and clears
-  * its set and puts it back when done. One set, not one per thread: a
-  * `ThreadLocal` set was as fast, but every Spark executor thread kept a
-  * set of its own.
+  * The tables outlive a call: one [[Spare]] set per JVM is reused, so a
+  * batch probes slots already grown to a batch's size instead of doubling
+  * fresh tables from 16 slots and leaving them as garbage. A call clears
+  * its set before giving it back.
   */
 object PrefixTreeEncoder {
 
@@ -45,19 +42,17 @@ object PrefixTreeEncoder {
     def clear(): Unit = { values.clear(); firstLayer.clear(); children.clear() }
   }
 
-  /** The spare set, empty, or null while a call holds it. */
-  private val spare = new java.util.concurrent.atomic.AtomicReference(new Tables)
+  private val spare = new Spare[Tables]
 
   /** A table key for the int pair (`hi`, `lo`), `lo` ≥ 0. */
   @inline private def key(hi: Int, lo: Int): Long = (hi.toLong << 32) | lo
 
   /** Encode sparse table `B` into (`I`, `D`). */
   def encode(b: Array[SparseRow]): LogicalEncoded = {
-    val held = spare.getAndSet(null)
-    val tables = if (held != null) held else new Tables
+    val tables = spare.take(new Tables)
     val encoded = encode(b, tables)
     tables.clear()
-    spare.set(tables)
+    spare.give(tables)
     encoded
   }
 

@@ -20,6 +20,13 @@ import repro.linalg.{DenseMatrix, EncodedMatrix, MatrixEncoder}
   * full tree's: `A·v` never reads a dropped node's `H` row, and for one
   * `v·A` would only add `key · 0.0`, which leaves a sum unchanged but
   * turns a ±Inf answer into NaN when the key is ±Inf or NaN.
+  *
+  * The kernels' scratch table `H` (`|C'|` doubles, or `|C'|·p` for `A·M`
+  * and `M·A`) is not allocated per call: each kernel takes the one
+  * [[Spare]] array of the JVM, or its own while the spare is too small or
+  * held by another thread, and gives it back when done. Each kernel resets
+  * only what it reads before writing: the root's slots on the right, all
+  * of `H` on the left, where `H` accumulates. No result aliases it.
   */
 final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def numRows: Int = physical.numRows
@@ -34,7 +41,8 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def timesVector(v: Array[Double]): Array[Double] = {
     require(v.length == numCols)
     val tree = cachedTree
-    val h = new Array[Double](tree.size)
+    val h = TocMatrix.takeH(tree.size)
+    h(0) = 0.0
     var i = 1
     while (i < tree.size) {
       h(i) = tree.keyVals(i) * v(tree.keyCols(i)) + h(tree.parents(i))
@@ -51,6 +59,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       r(row) = s
       row += 1
     }
+    TocMatrix.spareH.give(h)
     r
   }
 
@@ -60,7 +69,8 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   def vectorTimes(v: Array[Double]): Array[Double] = {
     require(v.length == numRows)
     val tree = cachedTree
-    val h = new Array[Double](tree.size)
+    val h = TocMatrix.takeH(tree.size)
+    java.util.Arrays.fill(h, 0, tree.size, 0.0)
     val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
@@ -76,6 +86,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       h(tree.parents(i)) += h(i)
       i -= 1
     }
+    TocMatrix.spareH.give(h)
     r
   }
 
@@ -88,7 +99,8 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     val tree = cachedTree
     if (tree.size.toLong * p > TocMatrix.HTableBudgetDoubles)
       return timesMatrixByChains(tree, m)
-    val h = new Array[Double](tree.size * p)
+    val h = TocMatrix.takeH(tree.size * p)
+    java.util.Arrays.fill(h, 0, p, 0.0)
     var i = 1
     while (i < tree.size) {
       val kv = tree.keyVals(i)
@@ -114,6 +126,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       }
       row += 1
     }
+    TocMatrix.spareH.give(h)
     new DenseMatrix(numRows, p, out)
   }
 
@@ -131,7 +144,8 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
     // inner loop is a contiguous burst — the random accesses stay on the
     // (small) per-node granularity.
     val mT = m.transpose.data                   // numRows x p
-    val h = new Array[Double](tree.size * p)
+    val h = TocMatrix.takeH(tree.size * p)
+    java.util.Arrays.fill(h, 0, tree.size * p, 0.0)
     val codes = tree.codes; val rowPtr = tree.rowPtr
     var row = 0
     while (row < numRows) {
@@ -161,6 +175,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       }
       i -= 1
     }
+    TocMatrix.spareH.give(h)
     new DenseMatrix(numCols, p, outT).transpose // p x numCols
   }
 
@@ -263,6 +278,17 @@ object TocMatrix {
     * batches, where the DP's `|C'|·p` table would thrash the cache.
     */
   val HTableBudgetDoubles: Long = 2L * 1024 * 1024
+
+  /** The kernels' spare `H`: the array given back last, so at most
+    * [[HTableBudgetDoubles]] long, since above that no kernel uses one.
+    */
+  private val spareH = new Spare[Array[Double]]
+
+  /** An `H` of at least `n` doubles, holding whatever the last call left. */
+  private def takeH(n: Int): Array[Double] = {
+    val h = spareH.take(new Array[Double](n))
+    if (h.length >= n) h else new Array[Double](n)
+  }
 }
 
 /** Factory for TOC plus the ablation-variant size model (Figures 6/10). */

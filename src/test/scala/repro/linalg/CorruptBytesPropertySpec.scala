@@ -14,6 +14,18 @@ import repro.core.CorruptBatchException
   * of the parsed shape or throw [[CorruptBatchException]], within a time
   * bound. The formats carry no checksum, so a flipped payload value may
   * decode to other bits.
+  *
+  * Every accepted buffer is also a matrix. Where the decode gives only
+  * finite values, and the shape, an empty dimension counted as 1, is
+  * within [[SparseDecodeCells]] cells, `A·v`, `v·A`, `A·M` and `M·A` on
+  * operands drawn from [-1, 1] (`M` with 1 to 3 columns or rows) must
+  * agree with the same ops on the decoded [[DenseMatrix]], within 1e-9
+  * relative, under the same time bound. Out of this scope:
+  *  - a decode that holds a NaN or ±Inf, where the ops may order their
+  *    sums differently from the dense reference, and an Inf − Inf in one
+  *    order is an Inf in the other;
+  *  - a wider shape, such as 0 rows of 2^27 + 2 columns, which the shape
+  *    rule accepts but whose operands and results alone fill gigabytes.
   */
 class CorruptBytesPropertySpec extends AnyFunSuite {
 
@@ -31,8 +43,30 @@ class CorruptBytesPropertySpec extends AnyFunSuite {
     val t = new Thread(r, "corrupt-bytes"); t.setDaemon(true); t
   }
 
-  /** What went wrong parsing and decoding `in`, if anything. */
-  def fault(enc: MatrixEncoder, in: Array[Byte]): Option[String] = {
+  /** Where `got` is further than 1e-9 relative from `want`, if anywhere. */
+  def disagreement(op: String, got: Array[Double], want: Array[Double]): Option[String] =
+    if (got.length != want.length) Some(s"$op gave ${got.length} values, the dense reference ${want.length}")
+    else want.indices.find { k =>
+      !(got(k) == want(k) || math.abs(got(k) - want(k)) <= 1e-9 * math.max(1.0, math.abs(want(k))))
+    }.map(k => s"$op index $k: ${got(k)} vs ${want(k)}")
+
+  /** Where an op on `m` disagrees with the same op on its decode `d`. */
+  def opsFault(m: CompressedMatrix, d: DenseMatrix, rng: java.util.Random): Option[String] = {
+    def operand(n: Int) = Array.fill(n)(2 * rng.nextDouble() - 1)
+    val p = 1 + rng.nextInt(3)
+    val v = operand(m.numCols); val u = operand(m.numRows)
+    val mr = new DenseMatrix(m.numCols, p, operand(m.numCols * p))
+    val ml = new DenseMatrix(p, m.numRows, operand(p * m.numRows))
+    disagreement("A·v", m.timesVector(v), d.timesVector(v))
+      .orElse(disagreement("v·A", m.vectorTimes(u), d.vectorTimes(u)))
+      .orElse(disagreement("A·M", m.timesMatrix(mr).data, d.timesMatrix(mr).data))
+      .orElse(disagreement("M·A", m.leftTimes(ml).data, d.leftTimes(ml).data))
+  }
+
+  /** What went wrong parsing, decoding and multiplying `in`, if anything;
+    * `seed` draws the ops' operands.
+    */
+  def fault(enc: MatrixEncoder, in: Array[Byte], seed: Long): Option[String] = {
     val run = worker.submit[Option[String]] { () =>
       try {
         val m = enc.fromBytes(in)
@@ -41,8 +75,11 @@ class CorruptBytesPropertySpec extends AnyFunSuite {
         else if (SparseEncodings(enc.name) && cells > SparseDecodeCells) None
         else {
           val d = m.decode
-          if (d.rows == m.numRows && d.cols == m.numCols && d.data.length == cells) None
-          else Some(s"decoded ${d.rows} x ${d.cols}, parsed ${m.numRows} x ${m.numCols}")
+          if (d.rows != m.numRows || d.cols != m.numCols || d.data.length != cells)
+            Some(s"decoded ${d.rows} x ${d.cols}, parsed ${m.numRows} x ${m.numCols}")
+          else if (math.max(m.numRows, 1).toLong * math.max(m.numCols, 1) > SparseDecodeCells ||
+            !d.data.forall(x => !x.isNaN && !x.isInfinite)) None
+          else opsFault(m, d, new java.util.Random(seed))
         }
       } catch {
         case _: CorruptBatchException => None
@@ -56,6 +93,7 @@ class CorruptBytesPropertySpec extends AnyFunSuite {
   test("every encoding rejects corrupted bytes with CorruptBatchException or decodes them to the parsed shape (ScalaCheck)") {
     val prop = Prop.forAllNoShrink(cases, Gen.long) { (t, seed) =>
       val rng = new java.util.Random(seed)
+      val operands = new java.util.Random(~seed) // apart, so the buffers stay those of `rng` alone
       Prop.all(Encodings.all.map { enc =>
         val valid = enc.encode(t.a).toBytes
         val flipped = valid.clone()
@@ -65,7 +103,7 @@ class CorruptBytesPropertySpec extends AnyFunSuite {
         rng.nextBytes(random)
         Prop.all(Seq(s"bit $bit flipped" -> flipped, "truncated" -> valid.take(rng.nextInt(valid.length)),
           "random" -> random).map { case (label, in) =>
-          val f = fault(enc, in)
+          val f = fault(enc, in, operands.nextLong())
           f.isEmpty :| s"${enc.name}, $label: ${f.getOrElse("")}"
         }: _*)
       }: _*)
