@@ -28,7 +28,7 @@ object DenEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): DenMatrix = {
     val r = new ByteReader(bytes)
-    val (rows, cols) = r.shape()
+    val (rows, cols) = r.shape(cells = true)
     val data = r.doubles(rows.toLong * cols)
     r.end()
     new DenMatrix(new DenseMatrix(rows, cols, data))

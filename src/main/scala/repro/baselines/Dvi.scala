@@ -98,7 +98,7 @@ object DviEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): DviMatrix = {
     val r = new ByteReader(bytes)
-    val (rows, cols) = r.shape()
+    val (rows, cols) = r.shape(cells = true)
     val dict = r.doubles(r.count())
     val cells = r.packed(dict.length - 1)
     r.end()

@@ -61,7 +61,7 @@ abstract class GeneralCompression extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): GeneralCompressedMatrix = {
     val r = new ByteReader(bytes)
-    val (rows, cols) = r.shape()
+    val (rows, cols) = r.shape(cells = true)
     new GeneralCompressedMatrix(this, rows, cols, r.rest())
   }
 }

@@ -1,5 +1,6 @@
 package repro.bench
 
+import repro.baselines.CsrEncoder
 import repro.core.TocEncoder
 import repro.data.{DatasetSpec, Datasets}
 import repro.linalg.Encodings
@@ -26,7 +27,9 @@ object CompressionRatios {
     ratios.sum / ratios.size
   }
 
-  /** TOC ablation (Figure 6): sparse-only / sparse+logical / full sizes. */
+  /** TOC ablation (Figure 6): sparse-only / sparse+logical / full ratios.
+    * Sparse-only is §3's sparse encoding laid end to end, CSR's bytes.
+    */
   final case class Ablation(sparse: Double, sparseLogical: Double, full: Double)
 
   /** The Figure 6 table, on each moderate-sparsity analog's first 250 rows. */
@@ -36,10 +39,11 @@ object CompressionRatios {
   private def ablationFor(spec: DatasetSpec): Ablation = {
     val (x, _) = Datasets.slice(spec, 0, 250)
     val den = x.denSizeBytes.toDouble
+    val toc = TocEncoder.encode(x)
     Ablation(
-      sparse = den / TocEncoder.sparseOnlySizeBytes(x),
-      sparseLogical = den / TocEncoder.sparseLogicalSizeBytes(x),
-      full = den / TocEncoder.encode(x).sizeBytes)
+      sparse = den / CsrEncoder.encode(x).sizeBytes,
+      sparseLogical = den / TocEncoder.sparseLogicalSizeBytes(toc),
+      full = den / toc.sizeBytes)
   }
 
   /** The §5.1 table: every analog's sweep on 250-row batches. */

@@ -71,19 +71,24 @@ final class ByteReader(bytes: Array[Byte]) {
   }
 
   /** The `int32 numRows | int32 numCols` header every format starts with,
-    * where each column takes `colWidth` more bytes. A decoded batch and
-    * every op's output must fit an array, so rows × cols (a 0 counting as
-    * 1) is at most `Int.MaxValue / 8` float64s. A 0-column batch carries
-    * no bytes per row in DEN, DVI, CLA, Gzip or Snappy, so nothing else
-    * bounds its row count, which `A·v` allocates: it may claim at most
-    * [[ByteReader.MaxEmptyRows]].
+    * where each column takes `colWidth` more bytes and, if `cells`, the
+    * bytes hold every cell, compressed or not. A decoded batch and every
+    * op's output must fit an array, so rows × cols (a 0 counting as 1) is
+    * at most `Int.MaxValue / 8` float64s. `A·v` allocates the row count and
+    * `v·A` the column count, so a count no bytes pay for may be at most
+    * [[ByteReader.MaxUnpaid]]: the rows of a 0-column batch (DEN, DVI, CLA,
+    * Gzip and Snappy carry no bytes per row), and the columns of a batch
+    * with neither `colWidth` nor, at 1 row or more, `cells` (TOC, CSR and
+    * CVI at any row count, every format but CLA at 0 rows).
     */
-  def shape(colWidth: Int = 0): (Int, Int) = {
+  def shape(colWidth: Int = 0, cells: Boolean = false): (Int, Int) = {
     val rows = count(); val cols = count(colWidth)
     CorruptBatchException.check(math.max(rows, 1).toLong * math.max(cols, 1) <= Int.MaxValue / 8,
       s"$rows x $cols does not fit an array")
-    CorruptBatchException.check(cols > 0 || rows <= ByteReader.MaxEmptyRows,
-      s"$rows rows of 0 columns, more than ${ByteReader.MaxEmptyRows}")
+    CorruptBatchException.check(cols > 0 || rows <= ByteReader.MaxUnpaid,
+      s"$rows rows of 0 columns, more than ${ByteReader.MaxUnpaid}")
+    CorruptBatchException.check(colWidth > 0 || cells && rows > 0 || cols <= ByteReader.MaxUnpaid,
+      s"$cols columns that no bytes pay for, more than ${ByteReader.MaxUnpaid}")
     (rows, cols)
   }
 
@@ -143,10 +148,12 @@ final class ByteReader(bytes: Array[Byte]) {
 }
 
 object ByteReader {
-  /** The most rows a 0-column batch may claim: far above any mini-batch
-    * the program builds (250 rows), and `A·v` on it allocates 512 KiB.
+  /** The most rows or columns a header may claim that its bytes do not
+    * pay for: far above any mini-batch the program builds (250 rows) and
+    * any dataset's width (rcv1's 47 236 columns), and `A·v` or `v·A` on
+    * such a batch allocates at most 512 KiB.
     */
-  val MaxEmptyRows: Int = 1 << 16
+  val MaxUnpaid: Int = 1 << 16
 
   /** Row offsets (CSR's `rowPtr`, TOC's `rowStarts`) start at 0 and never decrease. */
   def checkOffsets(starts: Array[Int], what: String): Unit = {

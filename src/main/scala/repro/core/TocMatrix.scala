@@ -291,7 +291,7 @@ object TocMatrix {
   }
 }
 
-/** Factory for TOC plus the ablation-variant size model (Figures 6/10). */
+/** Factory for TOC plus the Figure 6 ablation's logical-only size. */
 object TocEncoder extends MatrixEncoder {
   val name = "TOC"
 
@@ -303,19 +303,13 @@ object TocEncoder extends MatrixEncoder {
 
   def fromBytes(bytes: Array[Byte]): TocMatrix = new TocMatrix(TocPhysical.fromBytes(bytes))
 
-  /** TOC_SPARSE: sparse encoding only — pairs stored as int32 column +
-    * float64 value, plus int32 per-row lengths (ablation baseline).
+  /** TOC_SPARSE_AND_LOGICAL (Figure 6): `toc`'s logical encoding without
+    * its physical one, `I` as (int32, float64) pairs and `D` as int32
+    * codes plus int32 row starts. A size formula, since no format writes
+    * `I` unpacked. (TOC_SPARSE, §3's sparse encoding alone, is CSR's bytes.)
     */
-  def sparseOnlySizeBytes(batch: DenseMatrix): Long = {
-    val sparse = SparseEncoder.encode(batch)
-    8L + sparse.map(r => 4L + 12L * r.length).sum
-  }
-
-  /** TOC_SPARSE_AND_LOGICAL: logical encoding without physical encoding —
-    * `I` as (int32, float64) pairs, `D` as int32 codes + int32 row starts.
-    */
-  def sparseLogicalSizeBytes(batch: DenseMatrix): Long = {
-    val logical = PrefixTreeEncoder.encode(SparseEncoder.encode(batch))
-    8L + 12L * logical.i.length + 4L * logical.tokens.length + 4L * batch.rows
+  def sparseLogicalSizeBytes(toc: TocMatrix): Long = {
+    val p = toc.physical
+    8L + 12L * p.iCols.length + 4L * p.tokens.length + 4L * p.numRows
   }
 }

@@ -1,6 +1,6 @@
 package repro.linalg
 
-import repro.core.{ByteReader, ByteWriter, CorruptBatchException}
+import repro.core.CorruptBatchException
 
 /** Framing for shipping compressed mini-batches through Spark binary
   * columns: one tag byte, then the encoding's own bytes
@@ -20,15 +20,5 @@ object MatrixCodec {
     val tag = if (bytes.isEmpty) 0 else bytes(0).toInt
     CorruptBatchException.check(tag >= 1 && tag <= Encodings.all.length, s"unknown codec tag $tag")
     Encodings.all(tag - 1).fromBytes(java.util.Arrays.copyOfRange(bytes, 1, bytes.length))
-  }
-
-  /** Little-endian float64 vector framing for label columns. */
-  def serializeVector(v: Array[Double]): Array[Byte] = new ByteWriter(8L * v.length).doubles(v).result
-
-  def deserializeVector(bytes: Array[Byte]): Array[Double] = {
-    val r = new ByteReader(bytes)
-    val v = r.doubles(bytes.length / 8)
-    r.end()
-    v
   }
 }

@@ -9,9 +9,9 @@ import repro.mgd.MiniBatch
 
 /** One encoded mini-batch as carried through a Spark DataFrame: `x` is
   * the compressed matrix framed by [[MatrixCodec]] (a tag byte, then the
-  * encoding's own bytes), `y` the packed label vector.
+  * encoding's own bytes), `y` its labels as a Spark `array<double>`.
   */
-final case class EncodedBatchRow(batch_id: Long, n: Int, x: Array[Byte], y: Array[Byte])
+final case class EncodedBatchRow(batch_id: Long, n: Int, x: Array[Byte], y: Array[Double])
 
 /** The Spark-side substrate (DESIGN.md §3): mini-batches are assembled
   * and compressed by per-partition functions running inside executors —
@@ -44,25 +44,24 @@ object SparkMiniBatch {
   def encodeBatches(df: DataFrame, batchSize: Int, encoderName: String): Dataset[EncodedBatchRow] = {
     val spark = df.sparkSession
     import spark.implicits._
-    df.select(col("id").cast("long"), col("features"), col("label").cast("double"))
-      .as[(Long, Seq[Double], Double)]
+    df.select(col("features"), col("label").cast("double"))
+      .as[(Array[Double], Double)]
       .mapPartitions { it =>
         val encoder = Encodings.byName(encoderName)
         val pid = org.apache.spark.TaskContext.getPartitionId()
         it.grouped(batchSize).zipWithIndex.map { case (rows, bi) =>
           val n = rows.size
-          val cols = rows.head._2.size
+          val cols = rows.head._1.length
           val data = new Array[Double](n * cols)
           val y = new Array[Double](n)
           var i = 0
-          rows.foreach { case (_, feats, lbl) =>
-            var j = 0
-            feats.foreach { v => data(i * cols + j) = v; j += 1 }
+          rows.foreach { case (feats, lbl) =>
+            System.arraycopy(feats, 0, data, i * cols, cols)
             y(i) = lbl
             i += 1
           }
           val enc = encoder.encode(new DenseMatrix(n, cols, data))
-          EncodedBatchRow(batchId(pid, bi), n, MatrixCodec.serialize(enc), MatrixCodec.serializeVector(y))
+          EncodedBatchRow(batchId(pid, bi), n, MatrixCodec.serialize(enc), y)
         }
       }
   }
@@ -73,21 +72,23 @@ object SparkMiniBatch {
   def batchId(pid: Int, bi: Int): Long = (pid.toLong << 32) | bi
 
   /** Decode a DataFrame row back to a [[MiniBatch]] (executor side). The
-    * row's bytes come from outside the program, so its matrix rows, its
-    * labels and its `n` must agree, or this throws [[CorruptBatchException]].
+    * row comes from outside the program, so its matrix rows, its labels
+    * and its `n` must agree, or this throws [[CorruptBatchException]].
     */
   def decodeBatch(row: EncodedBatchRow): MiniBatch = {
     val x = MatrixCodec.deserialize(row.x)
-    val y = MatrixCodec.deserializeVector(row.y)
-    CorruptBatchException.check(x.numRows == y.length && y.length == row.n,
-      s"batch ${row.batch_id}: ${x.numRows} matrix rows, ${y.length} labels, n = ${row.n}")
-    MiniBatch(x, y)
+    CorruptBatchException.check(x.numRows == row.y.length && row.y.length == row.n,
+      s"batch ${row.batch_id}: ${x.numRows} matrix rows, ${row.y.length} labels, n = ${row.n}")
+    MiniBatch(x, row.y)
   }
 
-  /** Total serialized size of all encoded batches, via a SQL aggregate. */
+  /** Total encoded size of all batches, via a SQL aggregate: each matrix's
+    * own bytes (its `sizeBytes`, without the tag) plus 8 per label, as
+    * `EndToEnd` counts local batches.
+    */
   def encodedSizeBytes(batches: Dataset[EncodedBatchRow]): Long = {
     val spark = batches.sparkSession
     import spark.implicits._
-    batches.select(sum(length(col("x")) + length(col("y"))).cast("long")).as[Long].head()
+    batches.select(sum(length(col("x")) - 1 + size(col("y")) * 8).cast("long")).as[Long].head()
   }
 }

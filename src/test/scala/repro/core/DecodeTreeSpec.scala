@@ -64,8 +64,7 @@ class DecodeTreeSpec extends AnyFunSuite {
   }
 
   /** Tables as §3's sparse encoding emits them: each tuple's columns ascend. */
-  val ascendingTables: Gen[Array[Array[ColValue]]] =
-    PrefixTreeEncoderSpec.largeTables.map(_.map(t => t.distinctBy(_.col).sortBy(_.col)))
+  val ascendingTables: Gen[Array[Array[ColValue]]] = DecodeTreeSpec.ascending(PrefixTreeEncoderSpec.largeTables)
 
   test("the kept tree gives every code the reference's sequence, and keeps 1 + the distinct codes (ScalaCheck)") {
     /** Empty when the kept tree agrees with the reference on `p`, else what differs. */
@@ -114,4 +113,10 @@ class DecodeTreeSpec extends AnyFunSuite {
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
     assert(result.passed, Pretty.pretty(result))
   }
+}
+
+object DecodeTreeSpec {
+  /** `tables` with each tuple's columns made to ascend: a repeated column kept once, then sorted. */
+  def ascending(tables: Gen[Array[Array[ColValue]]]): Gen[Array[Array[ColValue]]] =
+    tables.map(_.map(t => t.distinctBy(_.col).sortBy(_.col)))
 }

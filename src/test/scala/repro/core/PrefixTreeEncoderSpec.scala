@@ -226,9 +226,18 @@ object PrefixTreeEncoderSpec {
     * low 32 bits) and the same pair follows many nodes (child keys
     * agreeing in theirs). About one tuple in eight is empty.
     */
-  val largeTables: Gen[Array[Array[ColValue]]] = for {
+  val largeTables: Gen[Array[Array[ColValue]]] =
+    tables(Gen.oneOf(Gen.const((c: Int) => c), Gen.const((c: Int) => c << 20)))
+
+  /** [[largeTables]] with the plain column mapping alone, whose columns
+    * (under 2000) a TOC header may claim.
+    */
+  val plainTables: Gen[Array[Array[ColValue]]] = tables(Gen.const((c: Int) => c))
+
+  /** [[largeTables]]' draws, each column written through a mapping drawn from `columnMapping`. */
+  def tables(columnMapping: Gen[Int => Int]): Gen[Array[Array[ColValue]]] = for {
     numCols <- Gen.frequency(1 -> Gen.choose(1, 8), 2 -> Gen.choose(9, 2000))
-    columns <- Gen.oneOf(Gen.const((c: Int) => c), Gen.const((c: Int) => c << 20))
+    columns <- columnMapping
     values <- Gen.choose(1, 400).flatMap(n => Gen.containerOfN[Array, Double](n, value))
     rows <- Gen.frequency(1 -> Gen.choose(0, 3), 3 -> Gen.choose(4, 300))
     b <- Gen.containerOfN[Array, Array[ColValue]](rows, Gen.frequency(

@@ -217,9 +217,10 @@ class TocMatrixSpec extends AnyFunSuite {
     val rng = new scala.util.Random(56)
     val template = Array.fill(40)(if (rng.nextDouble() < 0.5) (rng.nextInt(3) + 1) * 0.5 else 0.0)
     val a = new DenseMatrix(100, 40, Array.fill(100)(template).flatten)
-    val sparse = TocEncoder.sparseOnlySizeBytes(a)
-    val logical = TocEncoder.sparseLogicalSizeBytes(a)
-    val full = TocEncoder.encode(a).sizeBytes
+    val sparse = repro.baselines.CsrEncoder.encode(a).sizeBytes
+    val toc = TocEncoder.encode(a)
+    val logical = TocEncoder.sparseLogicalSizeBytes(toc)
+    val full = toc.sizeBytes
     assert(logical < sparse)
     assert(full < logical)
   }

@@ -4,9 +4,10 @@ import java.util.concurrent.{Executors, TimeUnit, TimeoutException}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
+import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.SparseRowPropertySpec.cases
-import repro.core.CorruptBatchException
+import repro.core.{CorruptBatchException, DecodeTreeSpec, PrefixTreeEncoder, PrefixTreeEncoderSpec, TocEncoder, TocViews}
 
 /** Every parser on untrusted bytes: single-bit flips and truncations of
   * valid encodings of [[repro.baselines.SparseRowPropertySpec]]'s batches,
@@ -24,10 +25,10 @@ import repro.core.CorruptBatchException
   *  - a decode that holds a NaN or ±Inf, where the ops may order their
   *    sums differently from the dense reference, and an Inf − Inf in one
   *    order is an Inf in the other;
-  *  - a wider shape, such as 0 rows of 2^27 + 2 columns, which the shape
-  *    rule accepts but whose operands and results alone fill gigabytes.
+  *  - a wider shape, such as 250 rows of 40 000 columns, which the shape
+  *    rule accepts.
   */
-class CorruptBytesPropertySpec extends AnyFunSuite {
+class CorruptBytesPropertySpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** The bytes of TOC, CSR and CVI do not grow with the column count, so a
     * flipped one can give a valid batch whose dense decode needs up to the
@@ -42,6 +43,8 @@ class CorruptBytesPropertySpec extends AnyFunSuite {
   private val worker = Executors.newSingleThreadExecutor { r =>
     val t = new Thread(r, "corrupt-bytes"); t.setDaemon(true); t
   }
+
+  override def afterAll(): Unit = worker.shutdownNow()
 
   /** Where `got` is further than 1e-9 relative from `want`, if anywhere. */
   def disagreement(op: String, got: Array[Double], want: Array[Double]): Option[String] =
@@ -109,7 +112,31 @@ class CorruptBytesPropertySpec extends AnyFunSuite {
       }: _*)
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(2019L), prop)
-    worker.shutdownNow()
     assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("Algorithm 1's TOC bytes of generated tables are rejected exactly when a tuple's columns do not ascend, else agree with the dense ops (ScalaCheck)") {
+    // Arbitrary tables, which Algorithm 1 encodes losslessly but no matrix
+    // gives, and ascending ones; the plain column mapping keeps each header
+    // within the shape rule. An accepted batch counts as agreeing only
+    // where `fault` ran the ops on it.
+    val plain = PrefixTreeEncoderSpec.plainTables
+    var rejected = 0
+    var agreed = 0
+    val prop = Prop.forAllNoShrink(Gen.oneOf(plain, DecodeTreeSpec.ascending(plain)), Gen.long) { (b, seed) =>
+      val ascends = b.forall(t => t.indices.drop(1).forall(j => t(j - 1).col < t(j).col))
+      val bytes = TocViews.physical(PrefixTreeEncoder.encode(TocViews.sparse(b))).toBytes
+      val decoded = try Some(TocEncoder.fromBytes(bytes).decode) catch { case _: CorruptBatchException => None }
+      if (decoded.isEmpty) rejected += 1
+      else if (decoded.exists(d => math.max(d.rows, 1).toLong * math.max(d.cols, 1) <= SparseDecodeCells &&
+        d.data.forall(x => !x.isNaN && !x.isInfinite))) agreed += 1
+      val f = fault(TocEncoder, bytes, seed)
+      (f.isEmpty :| f.getOrElse("")) &&
+        ((decoded.isEmpty != ascends) :| s"columns ascend: $ascends, rejected: ${decoded.isEmpty}")
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+    info(s"$rejected rejected, $agreed agreed with the dense ops, of ${result.succeeded}")
+    assert(rejected > 0 && agreed > 0, s"$rejected rejected, $agreed agreed")
   }
 }

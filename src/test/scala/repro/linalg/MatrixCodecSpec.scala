@@ -131,9 +131,11 @@ class MatrixCodecSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](MatrixCodec.deserialize(Array[Byte](42, 0, 0)))
   }
 
-  test("vector framing round-trips") {
-    val v = Array(1.5, -2.5, 0.0, 3.25)
-    assert(MatrixCodec.deserializeVector(MatrixCodec.serializeVector(v)).toSeq == v.toSeq)
-    assert(MatrixCodec.deserializeVector(MatrixCodec.serializeVector(Array.empty)).isEmpty)
+  test("a 12-byte CSR buffer claiming 0 x (2^27 + 2) and an 8-byte DEN header claiming 0 x 2^27 throw CorruptBatchException") {
+    def header(rows: Int, cols: Int, size: Int) =
+      java.nio.ByteBuffer.allocate(size).order(java.nio.ByteOrder.LITTLE_ENDIAN).putInt(rows).putInt(cols).array()
+    // Neither format's bytes grow with the columns of a 0-row batch.
+    intercept[CorruptBatchException](repro.baselines.CsrEncoder.fromBytes(header(0, (1 << 27) + 2, 12)))
+    intercept[CorruptBatchException](repro.baselines.DenEncoder.fromBytes(header(0, 1 << 27, 8)))
   }
 }

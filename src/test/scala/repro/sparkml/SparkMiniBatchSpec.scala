@@ -3,7 +3,8 @@ package repro.sparkml
 import repro.SparkSpec
 import repro.core.{CorruptBatchException, TocEncoder}
 import repro.data.Datasets
-import repro.linalg.MatrixCodec
+import repro.linalg.{Encodings, MatrixCodec}
+import repro.mgd.Mgd
 
 /** Spark-side generation and per-partition encoding. */
 class SparkMiniBatchSpec extends SparkSpec {
@@ -60,13 +61,13 @@ class SparkMiniBatchSpec extends SparkSpec {
   /** A 3-row census-like TOC batch as its Spark row. */
   def censusRow(): EncodedBatchRow = {
     val (x, y) = Datasets.slice(Datasets.census, 0, 3)
-    EncodedBatchRow(0L, 3, MatrixCodec.serialize(TocEncoder.encode(x)), MatrixCodec.serializeVector(y))
+    EncodedBatchRow(0L, 3, MatrixCodec.serialize(TocEncoder.encode(x)), y)
   }
 
   test("decodeBatch: a row whose labels lost one throws CorruptBatchException") {
     val row = censusRow()
     assert(SparkMiniBatch.decodeBatch(row).size == 3)
-    intercept[CorruptBatchException](SparkMiniBatch.decodeBatch(row.copy(y = row.y.dropRight(8))))
+    intercept[CorruptBatchException](SparkMiniBatch.decodeBatch(row.copy(y = row.y.dropRight(1))))
   }
 
   test("decodeBatch: a row whose n disagrees with its decoded rows throws CorruptBatchException") {
@@ -88,15 +89,19 @@ class SparkMiniBatchSpec extends SparkSpec {
     assert(SparkMiniBatch.batchId(1, 0) < SparkMiniBatch.batchId(1, 1))
   }
 
-  test("encodedSizeBytes aggregates serialized x+y lengths via Spark SQL") {
-    val df = SparkMiniBatch.generateDf(spark, Datasets.census, 200, numPartitions = 2)
-    val ds = SparkMiniBatch.encodeBatches(df, 100, "TOC").cache()
-    try {
-      val viaSql = SparkMiniBatch.encodedSizeBytes(ds)
-      val viaCollect = ds.collect().map(b => b.x.length.toLong + b.y.length).sum
-      assert(viaSql == viaCollect)
-      assert(viaSql > 0)
-    } finally ds.unpersist()
+  test("encodedSizeBytes on 4 partitions equals sizeBytes + 8 per label summed over Mgd.makeBatches") {
+    // 4 partitions of 250 rows, so the Spark and local batches hold the same rows.
+    for (spec <- Seq(Datasets.kdd99, Datasets.imagenet)) {
+      val df = SparkMiniBatch.generateDf(spark, spec, 1000, numPartitions = 4).cache()
+      try {
+        val (x, y) = Datasets.slice(spec, 0, 1000)
+        for (method <- Seq("TOC", "CSR", "DEN")) {
+          val local = Mgd.makeBatches(x, y, 125, Encodings.byName(method)).map(b => b.x.sizeBytes + 8L * b.size).sum
+          assert(SparkMiniBatch.encodedSizeBytes(SparkMiniBatch.encodeBatches(df, 125, method)) == local,
+            s"${spec.name} $method")
+        }
+      } finally df.unpersist()
+    }
   }
 
   test("TOC batches ship their physical bytes (compact vs DEN framing)") {
