@@ -87,6 +87,45 @@ class SparkMgdSpec extends SparkSpec {
     assert(math.abs(sparkLoss - localLoss) < 1e-10)
   }
 
+  private def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+
+  test("meanLoss sums the partitions in partition order: the same bits on every call") {
+    val batches = encodedBatches(1200, 4).cache()
+    try {
+      val model = new LogisticRegression(68)
+      val got = Seq.fill(5)(bits(SparkMgd.meanLoss(batches, model)))
+      assert(got.distinct.size == 1)
+      val parts = batches.rdd.glom().collect()
+      assert(parts.length == 4 && parts.forall(_.nonEmpty))
+      val sums = parts.map(p => Mgd.lossSum(p.iterator.map(SparkMiniBatch.decodeBatch), model))
+      assert(got.head == bits(sums.map(_._1).sum / sums.map(_._2).sum))
+    } finally batches.unpersist()
+  }
+
+  test("an empty partition changes no bit of trainEpoch or meanLoss") {
+    // The same 4 batches in 3 partitions, then in 6 with 3 of them empty
+    // (more partitions than batches).
+    val rows = encodedBatches(400, 1).collect().sortBy(_.batch_id)
+    assert(rows.length == 4)
+    import spark.implicits._
+    def ds(parts: Seq[Seq[EncodedBatchRow]]) = spark.sparkContext.parallelize(parts, parts.size).flatMap(identity).toDS()
+    val dense = ds(Seq(rows.take(1).toSeq, rows.slice(1, 3).toSeq, rows.drop(3).toSeq))
+    val gappy = ds(Seq(rows.take(1).toSeq, Nil, rows.slice(1, 3).toSeq, Nil, Nil, rows.drop(3).toSeq))
+    assert(gappy.rdd.glom().collect().count(_.isEmpty) == 3)
+    val start = new LogisticRegression(68)
+    val (a, b) = (SparkMgd.trainEpoch(dense, start, 0.1), SparkMgd.trainEpoch(gappy, start, 0.1))
+    assert(a.params.map(bits).toSeq == b.params.map(bits).toSeq)
+    assert(bits(SparkMgd.meanLoss(dense, a)) == bits(SparkMgd.meanLoss(gappy, a)))
+  }
+
+  test("trainEpoch and meanLoss reject a dataset with no rows") {
+    import spark.implicits._
+    for (empty <- Seq(spark.emptyDataset[EncodedBatchRow], spark.sparkContext.parallelize(Seq.empty[EncodedBatchRow], 3).toDS())) {
+      intercept[IllegalArgumentException](SparkMgd.trainEpoch(empty, new LogisticRegression(68), 0.1))
+      intercept[IllegalArgumentException](SparkMgd.meanLoss(empty, new LogisticRegression(68)))
+    }
+  }
+
   test("TOC and DEN Spark training produce the same averaged model") {
     val toc = SparkMgd.train(encodedBatches(600, 2, "TOC"), new LogisticRegression(68), 0.1, 2)
     val den = SparkMgd.train(encodedBatches(600, 2, "DEN"), new LogisticRegression(68), 0.1, 2)
