@@ -4,9 +4,8 @@ package repro.core
   *
   * Per the paper, each integer in an array is stored in
   * `ceil(log2(max+1) / 8)` bytes (1–4); a header records the element count
-  * and the per-element width. The 3-byte width is handled by widening into
-  * a masked 4-byte read, exactly as §4.1.1 describes for the missing
-  * native `uint_24`.
+  * and the per-element width. There is no native `uint_24` (§4.1.1), so a
+  * 3-byte element is read as three bytes into an `Int`.
   *
   * Layout (little-endian): `[count: int32][width: int8][payload: count*width]`,
   * written by [[ByteWriter.packed]] and read by [[ByteReader.packed]].
@@ -38,5 +37,8 @@ object BitPacking {
   }
 
   /** Exact serialized size of `values` including the 5-byte header. */
-  def packedSize(values: Array[Int]): Int = 5 + values.length * width(values)
+  def packedSize(values: Array[Int]): Int = packedSize(values.length, width(values))
+
+  /** Exact serialized size of `count` elements of `width` bytes, header included. */
+  def packedSize(count: Int, width: Int): Int = 5 + count * width
 }

@@ -25,21 +25,32 @@ final class ByteWriter(size: Long) {
   def bytes(a: Array[Byte]): ByteWriter = { buf.put(a); this }
 
   /** [[BitPacking]]'s layout: `int32 count | int8 width | count * width bytes`. */
-  def packed(a: Array[Int]): ByteWriter = {
-    val width = BitPacking.width(a)
+  def packed(a: Array[Int]): ByteWriter = packed(a, BitPacking.width(a))
+
+  /** [[packed]] with `width`, which must be `BitPacking.width(a)`. Each
+    * width has its own loop over the backing array.
+    */
+  def packed(a: Array[Int], width: Int): ByteWriter = {
     buf.putInt(a.length).put(width.toByte)
-    var i = 0
-    while (i < a.length) {
-      val v = a(i)
+    if (width == 4) ints(a)
+    else {
+      val out = buf.array
+      var o = buf.position
+      var i = 0
       width match {
-        case 1 => buf.put(v.toByte)
-        case 2 => buf.putShort(v.toShort)
-        case 3 => buf.putShort(v.toShort).put((v >>> 16).toByte)
-        case _ => buf.putInt(v)
+        case 1 =>
+          while (i < a.length) { out(o) = a(i).toByte; o += 1; i += 1 }
+        case 2 =>
+          while (i < a.length) { val v = a(i); out(o) = v.toByte; out(o + 1) = (v >>> 8).toByte; o += 2; i += 1 }
+        case _ =>
+          while (i < a.length) {
+            val v = a(i); out(o) = v.toByte; out(o + 1) = (v >>> 8).toByte; out(o + 2) = (v >>> 16).toByte
+            o += 3; i += 1
+          }
       }
-      i += 1
+      buf.position(o)
+      this
     }
-    this
   }
 
   def result: Array[Byte] = {
@@ -114,16 +125,23 @@ final class ByteReader(bytes: Array[Byte]) {
     val width = buf.get().toInt
     CorruptBatchException.check(width >= 1 && width <= 4, s"bad pack width $width")
     val out = new Array[Int](fits(n, width, "packed ints"))
-    var i = 0
-    while (i < n) {
-      out(i) = width match {
-        case 1 => buf.get() & 0xff
-        case 2 => buf.getShort() & 0xffff
-        case 3 => (buf.getShort() & 0xffff) | ((buf.get() & 0xff) << 16)
-        case _ => buf.getInt()
+    if (width == 4) buf.asIntBuffer.get(out)
+    else {
+      var o = buf.position
+      var i = 0
+      width match {
+        case 1 =>
+          while (i < n) { out(i) = bytes(o) & 0xff; o += 1; i += 1 }
+        case 2 =>
+          while (i < n) { out(i) = (bytes(o) & 0xff) | (bytes(o + 1) & 0xff) << 8; o += 2; i += 1 }
+        case _ =>
+          while (i < n) {
+            out(i) = (bytes(o) & 0xff) | (bytes(o + 1) & 0xff) << 8 | (bytes(o + 2) & 0xff) << 16
+            o += 3; i += 1
+          }
       }
-      i += 1
     }
+    skip(width * n)
     inRange(out, max, "packed ints")
   }
 
@@ -138,11 +156,15 @@ final class ByteReader(bytes: Array[Byte]) {
 
   private def skip(n: Int): Unit = buf.position(buf.position + n)
 
+  /** `a`, if each value is in `0..max` (`max` ≥ -1). Branch-free: `v` and
+    * `max - v` are both non-negative exactly when `v` is in range, so the
+    * sign bit of their OR over `a` marks a value out of it.
+    */
   private def inRange(a: Array[Int], max: Int, what: String): Array[Int] = {
-    var bad = false
+    var bad = 0
     var i = 0
-    while (i < a.length) { bad |= a(i) < 0 || a(i) > max; i += 1 }
-    CorruptBatchException.check(!bad, s"$what: value out of 0..$max")
+    while (i < a.length) { val v = a(i); bad |= v | (max - v); i += 1 }
+    CorruptBatchException.check(bad >= 0, s"$what: value out of 0..$max")
     a
   }
 }

@@ -1,8 +1,10 @@
 package repro.core
 
 /** A map from `Long` keys to positive `Int` values in two primitive arrays,
-  * for the write path's lookup-or-insert loops (Algorithm 1 and value
-  * indexing), where each lookup-or-insert is one probe.
+  * for the write path's lookup-or-insert loops on one-long keys (value ids,
+  * and Algorithm 1's (node, pair) → child map past a node's first child),
+  * where each lookup-or-insert is one probe. Algorithm 1's first layer,
+  * keyed on a column and a value's bits, is a [[PairTable]].
   *
   * Open addressing with linear probing. A key's home slot is the high bits
   * of its Fibonacci product (`key * 2^64/φ`), so all 64 key bits count:

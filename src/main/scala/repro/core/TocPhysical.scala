@@ -29,15 +29,23 @@ final case class TocPhysical(
   /** Exact size of the serialized form in bytes — the quantity used for
     * compression ratios (Figure 5 / §5.1).
     */
-  def sizeBytes: Long =
-    4L + 4L + 4L + 8L * dict.length +
-      BitPacking.packedSize(iCols) + BitPacking.packedSize(iValIdx) +
-      BitPacking.packedSize(tokens) + BitPacking.packedSize(rowStarts)
+  def sizeBytes: Long = sizeBytes(widths)
 
-  /** Serialize to the physical byte layout. */
-  def toBytes: Array[Byte] =
-    new ByteWriter(sizeBytes).int(numRows).int(numCols).int(dict.length).doubles(dict)
-      .packed(iCols).packed(iValIdx).packed(tokens).packed(rowStarts).result
+  /** Serialize to the physical byte layout, finding each array's width once. */
+  def toBytes: Array[Byte] = {
+    val w = widths
+    new ByteWriter(sizeBytes(w)).int(numRows).int(numCols).int(dict.length).doubles(dict)
+      .packed(iCols, w(0)).packed(iValIdx, w(1)).packed(tokens, w(2)).packed(rowStarts, w(3)).result
+  }
+
+  /** The bit-packing widths of `iCols`, `iValIdx`, `tokens` and `rowStarts`. */
+  private def widths: Array[Int] =
+    Array(BitPacking.width(iCols), BitPacking.width(iValIdx), BitPacking.width(tokens), BitPacking.width(rowStarts))
+
+  private def sizeBytes(w: Array[Int]): Long =
+    4L + 4L + 4L + 8L * dict.length +
+      BitPacking.packedSize(iCols.length, w(0)) + BitPacking.packedSize(iValIdx.length, w(1)) +
+      BitPacking.packedSize(tokens.length, w(2)) + BitPacking.packedSize(rowStarts.length, w(3))
 }
 
 object TocPhysical {

@@ -5,8 +5,9 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The contract of [[LongIntTable]], the write path's one hash table:
-  * lookup-or-insert, growth and [[LongIntTable.clear]].
+/** The contract of [[LongIntTable]], the write path's table of one-long
+  * keys (value ids and Algorithm 1's later children; [[PairTable]] holds
+  * the first layer): lookup-or-insert, growth and [[LongIntTable.clear]].
   */
 class LongIntTableSpec extends AnyFunSuite {
 

@@ -159,6 +159,20 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(2019L), prop)
     assert(result.passed, Pretty.pretty(result))
   }
+
+  test("encoding small tables, then larger ones, on the reused tables matches the reference every time (ScalaCheck)") {
+    import PrefixTreeEncoderSpec._
+    // Smallest first, so each table creates more nodes than the one before
+    // it: on a reused set no earlier call has grown past these tables (a
+    // fresh JVM, or a set made while another call held the spare), the
+    // first-child array grows between calls and within them.
+    val sequences = Gen.listOfN(4, largeTables).map(_.sortBy(b => b.map(_.length).sum))
+    val prop = Prop.forAllNoShrink(sequences) { bs =>
+      bs.zipWithIndex.map { case (b, k) => matchesReference(b) :| s"table $k" }.reduce(_ && _)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
 }
 
 object PrefixTreeEncoderSpec {

@@ -108,7 +108,10 @@ class TocPhysicalSpec extends AnyFunSuite {
 
   test("4 threads encoding the imagenet- and mnist-like slices at once each get the pinned bytes") {
     // The threads contend for Algorithm 1's one spare set of tables; a call
-    // that finds it taken encodes on tables of its own.
+    // that finds it taken encodes on tables of its own, whose first-child
+    // array grows within the call. The mnist-like slice creates more tree
+    // nodes than the imagenet-like one, so a set given back after one is
+    // reused by the other over first-child slots it set and cleared.
     val slices = pinned.filter(p => p._1 == "imagenet-like" || p._1 == "mnist-like")
     val rounds = 10
     val failures = new java.util.concurrent.ConcurrentLinkedQueue[String]
