@@ -32,12 +32,15 @@ sealed trait ClaGroup {
   def writeTo(w: ByteWriter): Unit
 }
 
-/** Dense dictionary-coded column. */
+/** Dense dictionary-coded column. `codes`' width is found once per group,
+  * for both its size and its bytes.
+  */
 final case class DdcGroup(col: Int, dict: Array[Double], codes: Array[Int]) extends ClaGroup {
-  def sizeBytes: Long = 4L + 8L * dict.length + BitPacking.packedSize(codes)
+  private lazy val codesWidth = BitPacking.width(codes)
+  def sizeBytes: Long = 4L + 8L * dict.length + BitPacking.packedSize(codes.length, codesWidth)
   @inline def valueAt(row: Int): Double = dict(codes(row))
   def scaled(c: Double): DdcGroup = DdcGroup(col, dict.map(_ * c), codes)
-  def writeTo(w: ByteWriter): Unit = w.int(dict.length).doubles(dict).packed(codes)
+  def writeTo(w: ByteWriter): Unit = w.int(dict.length).doubles(dict).packed(codes, codesWidth)
 }
 
 /** Uncompressed column fallback. */

@@ -20,13 +20,19 @@ final class CviMatrix(
     rowPtr: Array[Int]
 ) extends SparseRowMatrix(numRows, numCols, colIdx, rowPtr) {
 
-  def sizeBytes: Long =
-    12L + 8L * dict.length + BitPacking.packedSize(valIdx) +
-      4L * colIdx.length + 4L * rowPtr.length
+  def sizeBytes: Long = sizeBytes(BitPacking.width(valIdx))
   def encoder: MatrixEncoder = CviEncoder
-  def toBytes: Array[Byte] =
-    new ByteWriter(sizeBytes).int(numRows).int(numCols).ints(rowPtr).ints(colIdx)
-      .int(dict.length).doubles(dict).packed(valIdx).result
+
+  /** Serialize, finding `valIdx`'s width once. */
+  def toBytes: Array[Byte] = {
+    val w = BitPacking.width(valIdx)
+    new ByteWriter(sizeBytes(w)).int(numRows).int(numCols).ints(rowPtr).ints(colIdx)
+      .int(dict.length).doubles(dict).packed(valIdx, w).result
+  }
+
+  private def sizeBytes(valIdxWidth: Int): Long =
+    12L + 8L * dict.length + BitPacking.packedSize(valIdx.length, valIdxWidth) +
+      4L * colIdx.length + 4L * rowPtr.length
 
   protected def value(k: Int): Double = dict(valIdx(k))
 

@@ -16,10 +16,18 @@ final class DviMatrix(
     val cells: Array[Int]  // row-major dictionary index per cell
 ) extends EncodedMatrix {
 
-  def sizeBytes: Long = 12L + 8L * dict.length + BitPacking.packedSize(cells)
+  def sizeBytes: Long = sizeBytes(BitPacking.width(cells))
   def encoder: MatrixEncoder = DviEncoder
-  def toBytes: Array[Byte] =
-    new ByteWriter(sizeBytes).int(numRows).int(numCols).int(dict.length).doubles(dict).packed(cells).result
+
+  /** Serialize, finding `cells`' width once. */
+  def toBytes: Array[Byte] = {
+    val w = BitPacking.width(cells)
+    new ByteWriter(sizeBytes(w)).int(numRows).int(numCols).int(dict.length).doubles(dict)
+      .packed(cells, w).result
+  }
+
+  private def sizeBytes(cellsWidth: Int): Long =
+    12L + 8L * dict.length + BitPacking.packedSize(cells.length, cellsWidth)
 
   @inline private def value(i: Int, j: Int): Double = dict(cells(i * numCols + j))
 

@@ -21,6 +21,11 @@ package repro.core
   * parent) so the single-scan kernels of Algorithms 4/5/7/8 run without
   * per-node allocation — the C++-kernel fidelity the §5.2 measurements
   * rest on.
+  *
+  * Phase I numbers the first layer first, so nodes `1..k`, for
+  * `k = rootChildren`, are the root's children and every later node has
+  * a parent in `1..i−1`. The backward scans of `v·A` and `M·A` push no
+  * weight from nodes `1..k` into the root, which no output reads.
   */
 final class DecodeTree(
     val keyCols: Array[Int],
@@ -31,6 +36,13 @@ final class DecodeTree(
 ) {
   /** Number of nodes including the root. */
   def size: Int = parents.length
+
+  /** `k`: the length of the run of nodes from 1 on whose parent is the root. */
+  val rootChildren: Int = {
+    var k = 0
+    while (k + 1 < parents.length && parents(k + 1) == 0) k += 1
+    k
+  }
 }
 
 object DecodeTree {

@@ -64,7 +64,10 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
   }
 
   /** Algorithm 5: `v·A` via code-frequency accumulation then a backward
-    * scan of `C'` that pushes each node's weight up to its parent.
+    * scan of `C'` that pushes each node's weight up to its parent. The
+    * root's children (nodes `1..k`, [[DecodeTree.rootChildren]]) push
+    * nothing: their pushes would all add into `h(0)`, which no output
+    * reads, one after another.
     */
   def vectorTimes(v: Array[Double]): Array[Double] = {
     require(v.length == numRows)
@@ -80,10 +83,16 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       row += 1
     }
     val r = new Array[Double](numCols)
+    val keyCols = tree.keyCols; val keyVals = tree.keyVals; val parents = tree.parents
+    val k = tree.rootChildren
     var i = tree.size - 1
+    while (i > k) {
+      r(keyCols(i)) += keyVals(i) * h(i)
+      h(parents(i)) += h(i)
+      i -= 1
+    }
     while (i >= 1) {
-      r(tree.keyCols(i)) += tree.keyVals(i) * h(i)
-      h(tree.parents(i)) += h(i)
+      r(keyCols(i)) += keyVals(i) * h(i)
       i -= 1
     }
     TocMatrix.spareH.give(h)
@@ -132,6 +141,7 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
 
   /** Algorithm 8: `M·A` — the matrix generalization of Algorithm 5, with
     * `H` stored transposed (node-major) for one sequential scan (§B.2).
+    * As in [[vectorTimes]], the root's children push nothing to the root.
     */
   def leftTimes(m: DenseMatrix): DenseMatrix = {
     require(m.cols == numRows)
@@ -161,18 +171,28 @@ final class TocMatrix(val physical: TocPhysical) extends EncodedMatrix {
       row += 1
     }
     val outT = new Array[Double](numCols * p)   // column-major accumulator
+    val keyCols = tree.keyCols; val keyVals = tree.keyVals; val parents = tree.parents
+    val rootChildren = tree.rootChildren
     var i = tree.size - 1
-    while (i >= 1) {
-      val kv = tree.keyVals(i)
-      val oBase = tree.keyCols(i) * p
+    while (i > rootChildren) {
+      val kv = keyVals(i)
+      val oBase = keyCols(i) * p
       val hBase = i * p
-      val parentBase = tree.parents(i) * p
+      val parentBase = parents(i) * p
       var k = 0
       while (k < p) {
         outT(oBase + k) += kv * h(hBase + k)
         h(parentBase + k) += h(hBase + k)
         k += 1
       }
+      i -= 1
+    }
+    while (i >= 1) {
+      val kv = keyVals(i)
+      val oBase = keyCols(i) * p
+      val hBase = i * p
+      var k = 0
+      while (k < p) { outT(oBase + k) += kv * h(hBase + k); k += 1 }
       i -= 1
     }
     TocMatrix.spareH.give(h)

@@ -28,6 +28,13 @@ class SchemeSpecificSpec extends AnyFunSuite {
     assert(CsrEncoder.fromBytes(ascending.toBytes).decode.data.toSeq == Seq(1.0, 2.0))
   }
 
+  test("a CSR buffer with a column equal to numCols throws CorruptBatchException") {
+    // One row of a 1 x 2 matrix; column 2 is outside it.
+    def bytes(lastCol: Int): Array[Byte] = new CsrMatrix(1, 2, Array(1.0, 2.0), Array(0, lastCol), Array(0, 2)).toBytes
+    assert(CsrEncoder.fromBytes(bytes(1)).decode.data.toSeq == Seq(1.0, 2.0))
+    intercept[CorruptBatchException](CsrEncoder.fromBytes(bytes(2)))
+  }
+
   test("CVI dictionary holds distinct non-zero values only") {
     val a = TestMatrices.fromRows(Seq(Seq(0.5, 0.0, 0.5), Seq(0.25, 0.5, 0.0)))
     val c = CviEncoder.encode(a)

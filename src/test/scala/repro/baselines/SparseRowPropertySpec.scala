@@ -4,7 +4,8 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.DenseMatrix
+import repro.core.CorruptBatchException
+import repro.linalg.{DenseMatrix, MatrixEncoder}
 
 /** CVI is CSR with value indexing: both run the [[SparseRowMatrix]]
   * kernels, so every op must give the same doubles, bit for bit up to NaN
@@ -12,9 +13,6 @@ import repro.linalg.DenseMatrix
   */
 class SparseRowPropertySpec extends AnyFunSuite {
   import SparseRowPropertySpec._
-
-  def same(a: Array[Double], b: Array[Double]): Boolean =
-    a.length == b.length && a.indices.forall(k => java.lang.Double.compare(a(k), b(k)) == 0)
 
   test("CSR and CVI agree element for element on A·v, v·A, A·M, M·A, A.*c and decode (ScalaCheck)") {
     val prop = Prop.forAllNoShrink(cases) { t =>
@@ -31,9 +29,47 @@ class SparseRowPropertySpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result))
   }
+
+  test("CSR and CVI bytes with one row's columns repeated or reversed throw CorruptBatchException (ScalaCheck)") {
+    val prop = Prop.forAllNoShrink(cases, Gen.long) { (t, seed) =>
+      val rng = new scala.util.Random(seed)
+      val csr = CsrEncoder.encode(t.a)
+      val cvi = CviEncoder.encode(t.a)
+      val rowPtr = csr.rowPtr
+      val rows = (0 until csr.numRows).filter(i => rowPtr(i + 1) - rowPtr(i) >= 2)
+      rows.nonEmpty ==> {
+        val i = rows(rng.nextInt(rows.length))
+        val cols = csr.colIdx.clone()
+        val how =
+          if (rng.nextBoolean()) {
+            val k = rowPtr(i) + rng.nextInt(rowPtr(i + 1) - rowPtr(i) - 1)
+            cols(k + 1) = cols(k)
+            s"row $i repeats column ${cols(k)}"
+          } else {
+            val reversed = cols.slice(rowPtr(i), rowPtr(i + 1)).reverse
+            System.arraycopy(reversed, 0, cols, rowPtr(i), reversed.length)
+            s"row $i reversed"
+          }
+        val buffers: Seq[(MatrixEncoder, Array[Byte])] = Seq(
+          CsrEncoder -> new CsrMatrix(csr.numRows, csr.numCols, csr.values, cols, rowPtr).toBytes,
+          CviEncoder -> new CviMatrix(cvi.numRows, cvi.numCols, cvi.dict, cvi.valIdx, cols, cvi.rowPtr).toBytes)
+        Prop.all(buffers.map { case (enc, bytes) =>
+          val threw = try { enc.fromBytes(bytes); false } catch { case _: CorruptBatchException => true }
+          threw :| s"${enc.name}, $how: accepted"
+        }: _*)
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(2019L)
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
 }
 
 object SparseRowPropertySpec {
+  /** Equal doubles, `-0.0` told from `+0.0`, any NaN equal to any NaN. */
+  def same(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length && a.indices.forall(k => java.lang.Double.compare(a(k), b(k)) == 0)
+
   /** A batch `a` and the operands of its five ops. */
   final case class Case(a: DenseMatrix, v: Array[Double], u: Array[Double],
                         m: DenseMatrix, ml: DenseMatrix, c: Double) {

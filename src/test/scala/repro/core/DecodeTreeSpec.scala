@@ -2,7 +2,9 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.SparseRowPropertySpec
 import repro.core.TocViews._
 import repro.data.Datasets
 
@@ -12,6 +14,7 @@ import repro.data.Datasets
   * against it.
   */
 class DecodeTreeSpec extends AnyFunSuite {
+  import DecodeTreeSpec.rootChildrenFault
 
   def tableB: Array[Array[ColValue]] = Fig3.tableB
 
@@ -29,6 +32,12 @@ class DecodeTreeSpec extends AnyFunSuite {
     val enc = PrefixTreeEncoder.encode(sparse(tableB))
     val c = TocViews.tree(enc)
     assert(c.parents.toSeq == Seq(-1, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5))
+  }
+
+  test("Table 4: the root's children are nodes 1-5") {
+    val c = TocViews.tree(PrefixTreeEncoder.encode(sparse(tableB)))
+    assert(c.parents.toSeq == Seq(-1, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5))
+    assert(c.rootChildren == 5)
   }
 
   test("|C'| = 1 + |I| + sum(len(D[i]) - 1) — the §4.6 size identity") {
@@ -100,6 +109,52 @@ class DecodeTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("the root's children are the first-layer nodes a code names, and every later node's parent is in 1..i−1, on generated tables (ScalaCheck)") {
+    val prop = Prop.forAllNoShrink(ascendingTables) { b =>
+      val p = TocViews.physical(PrefixTreeEncoder.encode(sparse(b)))
+      val ref = TocViews.referenceTree(p)
+      val f = rootChildrenFault(p, DecodeTree.buildFromPhysical(p))
+      (f.isEmpty :| f.getOrElse("")) &&
+        (ref.rootChildren == p.iCols.length) :| s"the reference tree's root has ${ref.rootChildren} children, |I| = ${p.iCols.length}" &&
+        (ref.rootChildren + 1 until ref.size).forall(i => ref.parents(i) >= 1 && ref.parents(i) < i) :| "a reference node's parent"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("every TOC buffer that parses and builds, valid or corrupted as CorruptBytesPropertySpec corrupts it, has that root-children layout (ScalaCheck)") {
+    // The valid bytes, one bit flipped, a truncation and random bytes of
+    // each batch, as in CorruptBytesPropertySpec, and Algorithm 1's bytes
+    // of its generated tables, whose columns may repeat or descend.
+    val plain = PrefixTreeEncoderSpec.plainTables
+    var corruptBuilt = 0
+    val prop = Prop.forAllNoShrink(SparseRowPropertySpec.cases, Gen.oneOf(plain, DecodeTreeSpec.ascending(plain)), Gen.long) {
+      (t, b, seed) =>
+        val rng = new java.util.Random(seed)
+        val valid = TocEncoder.encode(t.a).toBytes
+        val flipped = valid.clone()
+        val bit = rng.nextInt(8 * valid.length)
+        flipped(bit / 8) = (flipped(bit / 8) ^ (1 << bit % 8)).toByte
+        val random = new Array[Byte](rng.nextInt(2 * valid.length))
+        rng.nextBytes(random)
+        val buffers = Seq("valid" -> valid, s"bit $bit flipped" -> flipped, "truncated" -> valid.take(rng.nextInt(valid.length)),
+          "random" -> random, "Algorithm 1's" -> TocViews.physical(PrefixTreeEncoder.encode(sparse(b))).toBytes)
+        Prop.all(buffers.map { case (label, in) =>
+          val f = try {
+            val p = TocPhysical.fromBytes(in)
+            val c = DecodeTree.buildFromPhysical(p)
+            if (in ne valid) corruptBuilt += 1
+            rootChildrenFault(p, c)
+          } catch { case _: CorruptBatchException => None }
+          f.isEmpty :| s"$label: ${f.getOrElse("")}"
+        }: _*)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+    info(s"$corruptBuilt corrupted or Algorithm 1 buffers built a tree, of ${4 * result.succeeded}")
+    assert(corruptBuilt > 0)
+  }
+
   test("a table with a repeated or descending column in some tuple is rejected by the kept tree's build (ScalaCheck)") {
     // Arbitrary tables, which Algorithm 1 encodes losslessly but no matrix
     // gives, and ascending ones: the build throws exactly when some tuple's
@@ -116,6 +171,20 @@ class DecodeTreeSpec extends AnyFunSuite {
 }
 
 object DecodeTreeSpec {
+  /** Empty when `c`, the kept tree of `p`, has `k` = `c.rootChildren` equal
+    * to the first-layer nodes `p`'s codes name (1..|I|), nodes 1..k with
+    * the root as parent and every later node `i` with a parent in 1..i−1;
+    * else what differs.
+    */
+  def rootChildrenFault(p: TocPhysical, c: DecodeTree): Option[String] = {
+    val k = c.rootChildren
+    val named = p.tokens.filter(_ <= p.iCols.length).distinct.length
+    if (k != named) Some(s"the root has $k children, the codes name $named first-layer nodes")
+    else (1 to k).find(c.parents(_) != 0).map(i => s"node $i of 1..$k has parent ${c.parents(i)}")
+      .orElse((k + 1 until c.size).find(i => c.parents(i) < 1 || c.parents(i) >= i)
+        .map(i => s"node $i above $k has parent ${c.parents(i)}"))
+  }
+
   /** `tables` with each tuple's columns made to ascend: a repeated column kept once, then sorted. */
   def ascending(tables: Gen[Array[Array[ColValue]]]): Gen[Array[Array[ColValue]]] =
     tables.map(_.map(t => t.distinctBy(_.col).sortBy(_.col)))

@@ -1,6 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.SparseRowPropertySpec
 import repro.linalg.{DenseMatrix, TestMatrices}
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
@@ -9,6 +13,7 @@ import scala.concurrent.duration._
   * the Figure 3 example and randomized matrices across sparsity regimes.
   */
 class TocMatrixSpec extends AnyFunSuite {
+  import TocMatrixSpec._
 
   val eps = 1e-9
 
@@ -223,5 +228,99 @@ class TocMatrixSpec extends AnyFunSuite {
     val full = toc.sizeBytes
     assert(logical < sparse)
     assert(full < logical)
+  }
+
+  test("v·A and M·A give the bits of Algorithms 5 and 8 with every root push kept, on special values, empty rows and first-layer-only trees (ScalaCheck)") {
+    // Algorithm 1's tables of -0.0, NaN, ±Inf and subnormal values, with
+    // empty tuples; the same twice over, so the second copy names nodes
+    // below the first layer; the same with one pair per tuple, so every
+    // code names a first-layer node; and dense batches of special cells,
+    // 0-row and 0-column ones included. Operands hold special values too.
+    val ascending = DecodeTreeSpec.ascending(PrefixTreeEncoderSpec.plainTables)
+    val firstLayerOnly = PrefixTreeEncoderSpec.plainTables.map(_.map(_.take(1)))
+    val batches: Gen[TocMatrix] = Gen.frequency(
+      3 -> Gen.oneOf(ascending, ascending.map(b => b ++ b), firstLayerOnly)
+        .map(b => new TocMatrix(TocViews.physical(PrefixTreeEncoder.encode(TocViews.sparse(b))))),
+      1 -> SparseRowPropertySpec.cases.map(t => TocEncoder.encode(t.a)))
+    val cases = for {
+      toc <- batches
+      u <- SparseRowPropertySpec.vec(toc.numRows)
+      p <- Gen.choose(1, 4)
+      ml <- SparseRowPropertySpec.dense(p, toc.numRows)
+    } yield (toc, u, ml)
+    var onlyFirstLayer = 0
+    var deeper = 0
+    val prop = Prop.forAllNoShrink(cases) { case (toc, u, ml) =>
+      val tree = DecodeTree.buildFromPhysical(toc.physical)
+      if (tree.size > 1 && tree.rootChildren == tree.size - 1) onlyFirstLayer += 1
+      if (tree.rootChildren < tree.size - 1) deeper += 1
+      (tree.size.toLong * ml.rows <= TocMatrix.HTableBudgetDoubles) :| "M·A left the DP path" &&
+        SparseRowPropertySpec.same(toc.vectorTimes(u), vectorTimesPushingRoot(tree, toc.numCols, u)) :| "v·A" &&
+        SparseRowPropertySpec.same(toc.leftTimes(ml).data, leftTimesPushingRoot(tree, toc.numCols, ml).data) :| "M·A"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+    info(s"$onlyFirstLayer first-layer-only trees, $deeper with deeper nodes, of ${result.succeeded}")
+    assert(onlyFirstLayer > 0 && deeper > 0, s"$onlyFirstLayer first-layer-only, $deeper deeper")
+  }
+}
+
+object TocMatrixSpec {
+  /** `H(D)`'s code counts weighted by `v`, as Algorithm 5 accumulates them. */
+  private def codeWeights(tree: DecodeTree, v: Array[Double]): Array[Double] = {
+    val h = new Array[Double](tree.size)
+    var row = 0
+    while (row < v.length) {
+      var j = tree.rowPtr(row)
+      while (j < tree.rowPtr(row + 1)) { h(tree.codes(j)) += v(row); j += 1 }
+      row += 1
+    }
+    h
+  }
+
+  /** Algorithm 5 on `tree` with every node's push kept, the root's
+    * children's into `h(0)`.
+    */
+  def vectorTimesPushingRoot(tree: DecodeTree, numCols: Int, v: Array[Double]): Array[Double] = {
+    val h = codeWeights(tree, v)
+    val r = new Array[Double](numCols)
+    var i = tree.size - 1
+    while (i >= 1) {
+      r(tree.keyCols(i)) += tree.keyVals(i) * h(i)
+      h(tree.parents(i)) += h(i)
+      i -= 1
+    }
+    r
+  }
+
+  /** Algorithm 8's dynamic program on `tree` with every node's push kept,
+    * `H` node-major as `TocMatrix.leftTimes` stores it.
+    */
+  def leftTimesPushingRoot(tree: DecodeTree, numCols: Int, m: DenseMatrix): DenseMatrix = {
+    val p = m.rows
+    val mT = m.transpose.data
+    val h = new Array[Double](tree.size * p)
+    var row = 0
+    while (row < m.cols) {
+      var j = tree.rowPtr(row)
+      while (j < tree.rowPtr(row + 1)) {
+        var k = 0
+        while (k < p) { h(tree.codes(j) * p + k) += mT(row * p + k); k += 1 }
+        j += 1
+      }
+      row += 1
+    }
+    val outT = new Array[Double](numCols * p)
+    var i = tree.size - 1
+    while (i >= 1) {
+      var k = 0
+      while (k < p) {
+        outT(tree.keyCols(i) * p + k) += tree.keyVals(i) * h(i * p + k)
+        h(tree.parents(i) * p + k) += h(i * p + k)
+        k += 1
+      }
+      i -= 1
+    }
+    new DenseMatrix(numCols, p, outT).transpose
   }
 }

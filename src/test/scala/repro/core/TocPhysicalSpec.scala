@@ -138,6 +138,14 @@ class TocPhysicalSpec extends AnyFunSuite {
     intercept[CorruptBatchException](TocPhysical.fromBytes(header))
   }
 
+  test("a TOC buffer with a value index equal to the dictionary's length throws CorruptBatchException") {
+    // I = [(0, 1.0), (1, 2.0), (2, 3.0)] and one row [1, 2, 3]; index 3 names no value.
+    def bytes(lastValIdx: Int): Array[Byte] =
+      TocPhysical(1, 3, Array(1.0, 2.0, 3.0), Array(0, 1, 2), Array(0, 1, lastValIdx), Array(1, 2, 3), Array(0)).toBytes
+    assert(TocEncoder.fromBytes(bytes(2)).decode.data.toSeq == Seq(1.0, 2.0, 3.0))
+    intercept[CorruptBatchException](TocEncoder.fromBytes(bytes(3)))
+  }
+
   test("tables with all-zero rows keep row boundaries") {
     val rows: Array[Array[ColValue]] =
       Array(Array(ColValue(0, 1.0)), Array.empty, Array(ColValue(1, 2.0)), Array.empty)
