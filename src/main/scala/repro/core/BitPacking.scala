@@ -36,9 +36,6 @@ object BitPacking {
     bytesPerInt(max)
   }
 
-  /** Exact serialized size of `values` including the 5-byte header. */
-  def packedSize(values: Array[Int]): Int = packedSize(values.length, width(values))
-
   /** Exact serialized size of `count` elements of `width` bytes, header included. */
   def packedSize(count: Int, width: Int): Int = 5 + count * width
 }

@@ -24,11 +24,9 @@ final class ByteWriter(size: Long) {
   def doubles(a: Array[Double]): ByteWriter = { buf.asDoubleBuffer.put(a); skip(8 * a.length) }
   def bytes(a: Array[Byte]): ByteWriter = { buf.put(a); this }
 
-  /** [[BitPacking]]'s layout: `int32 count | int8 width | count * width bytes`. */
-  def packed(a: Array[Int]): ByteWriter = packed(a, BitPacking.width(a))
-
-  /** [[packed]] with `width`, which must be `BitPacking.width(a)`. Each
-    * width has its own loop over the backing array.
+  /** [[BitPacking]]'s layout: `int32 count | int8 width | count * width
+    * bytes`, where `width` must be `BitPacking.width(a)`. Each width has
+    * its own loop over the backing array.
     */
   def packed(a: Array[Int], width: Int): ByteWriter = {
     buf.putInt(a.length).put(width.toByte)

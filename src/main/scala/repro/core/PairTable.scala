@@ -3,15 +3,17 @@ package repro.core
 /** A map from §3.1's pairs, each keyed on its column and the raw bits of
   * its value, to positive `Int` values: Algorithm 1's first layer, where a
   * pair's node is one probe and equal pairs (NaN included) always share a
-  * node.
+  * node, and [[ValueIndex]]'s value ids, keyed on a value's bits under
+  * column 0.
   *
-  * The same open addressing as [[LongIntTable]], with the column as a
-  * second key word: linear probing, a key's home slot the high bits of the
-  * Fibonacci product of its bits mixed with its column (so every key bit
-  * counts), value 0 marking an empty slot, doubling when more than half
-  * full, and [[clear]] keeping the capacity reached. A slot is two
-  * adjacent longs, the bits and then `column << 32 | value`, so a probe
-  * reads one cache line.
+  * Open addressing with linear probing. A key's home slot is the high bits
+  * of the Fibonacci product (`× 2^64/φ`) of its bits mixed with its
+  * column, so every key bit counts: keys that agree in their low 32 bits
+  * still spread. A slot whose value is 0 is empty, which is why values
+  * must be ≥ 1. The table doubles when it is more than half full, and
+  * [[clear]] keeps the capacity it reached. A slot is two adjacent longs,
+  * the bits and then `column << 32 | value`, so a probe reads one cache
+  * line.
   */
 final class PairTable {
   private var slots = new Array[Long](2 * 16)
@@ -21,7 +23,11 @@ final class PairTable {
   /** Number of keys stored. */
   def size: Int = used
 
-  /** Removes every key but keeps the slots; as [[LongIntTable.clear]]. */
+  /** Removes every key but keeps the slots, so a table refilled to the
+    * size it had probes memory it has already touched and does not grow.
+    * Only each slot's second long is zeroed: a slot whose value is 0 is
+    * empty, and its stale bits are never read.
+    */
   def clear(): Unit = {
     var s = 1
     while (s < slots.length) { slots(s) = 0L; s += 2 }

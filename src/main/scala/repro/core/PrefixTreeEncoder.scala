@@ -22,49 +22,44 @@ final case class LogicalEncoded(i: FirstLayer, tokens: Array[Int], rowStarts: Ar
   * emitted code (except a tuple's last code).
   *
   * The tree is the classic LZW dictionary (Welch, IEEE Computer 1984), a
-  * map from (parent node, pair) to child node, held so that most lookups
-  * touch no hash table. The first layer is one [[PairTable]] probe on a
-  * pair's column and the raw bits of its value, so equal pairs always
-  * share a node, NaN included. Below it, each node's first child is kept
-  * with the pair that reaches it in an array indexed by node number; only
-  * a node's second and later children go into a (node, pair) → child
-  * [[LongIntTable]]. Each (node, pair) lives in exactly one of the two, so
-  * every lookup finds the node that one table of all children would.
+  * map from (parent node, pair) to child node, held as a trie whose
+  * children form a list (de la Briandais, WJCC 1959). The first layer is
+  * one [[PairTable]] probe on a pair's column and the raw bits of its
+  * value, so equal pairs always share a node, NaN included. Below it, each
+  * node's children are one list in creation order, in two arrays indexed
+  * by node number: a node's first child and a child's next sibling, each
+  * kept with the first-layer node of the pair that reaches it. A lookup
+  * walks the list and a new child goes at its tail, so every lookup finds
+  * the node that one table of all children would.
   *
   * The tables outlive a call: one [[Spare]] set per JVM is reused, so a
   * batch probes slots already grown to a batch's size instead of doubling
-  * fresh tables from 16 slots and leaving them as garbage. A call clears
-  * its set before giving it back.
+  * fresh tables from 16 slots and leaving them as garbage. A call leaves
+  * its set empty before giving it back.
   */
 object PrefixTreeEncoder {
 
-  /** The tables of one encode: value ids, first-layer nodes, each node's
-    * first child and the (node, pair) → child map of the later children.
+  /** The tables of one encode: value ids, first-layer nodes, and the
+    * trie's lists below them. `firstChild(n)` is node `n`'s first child
+    * `c`, reached by first-layer node `p`, as `key(p, c)`; `sibling(c)` is
+    * `c`'s next sibling the same way; 0 ends a list. A node's two slots
+    * are zeroed when it is made, and the first layer's `firstChild` slots
+    * when phase II starts, so the arrays are never cleared.
     */
-  private final class Tables {
-    val values, children = new LongIntTable
-    val firstLayer = new PairTable
-    /** Node `n`'s first child `c`, reached by first-layer node `p`, as
-      * `key(p, c)` at index `n`; 0 while `n` has no child.
-      */
-    private var firstChild = new Array[Long](16)
-    /** The last encode's node count: `firstChild` is 0 from this index on. */
-    var nodes = 0
+  private[core] final class Tables {
+    val values, firstLayer = new PairTable
+    var firstChild, sibling = new Array[Long](16)
 
-    /** `firstChild`, grown if needed to hold nodes `0 until n`. It grows
+    /** Grows both arrays, if needed, to hold nodes `0 until n`. They grow
       * by an eighth, not by doubling, so the set stays near the size of
       * the largest batch encoded.
       */
-    def firstChildFor(n: Int): Array[Long] = {
-      if (firstChild.length < n) firstChild = java.util.Arrays.copyOf(firstChild, n + n / 8)
-      firstChild
+    def hold(n: Int): Unit = if (firstChild.length < n) {
+      firstChild = java.util.Arrays.copyOf(firstChild, n + n / 8)
+      sibling = java.util.Arrays.copyOf(sibling, n + n / 8)
     }
 
-    def clear(): Unit = {
-      values.clear(); firstLayer.clear(); children.clear()
-      java.util.Arrays.fill(firstChild, 0, nodes, 0L)
-      nodes = 0
-    }
+    def clear(): Unit = { values.clear(); firstLayer.clear() }
   }
 
   private val spare = new Spare[Tables]
@@ -76,12 +71,12 @@ object PrefixTreeEncoder {
   def encode(b: Array[SparseRow]): LogicalEncoded = {
     val tables = spare.take(new Tables)
     val encoded = encode(b, tables)
-    tables.clear()
     spare.give(tables)
     encoded
   }
 
-  private def encode(b: Array[SparseRow], tables: Tables): LogicalEncoded = {
+  /** [[encode]] on `tables`, which must be empty, as a call leaves them. */
+  private[core] def encode(b: Array[SparseRow], tables: Tables): LogicalEncoded = {
     // Phase I: node 1..|I| for each unique pair, in first-occurrence order;
     // `pairNodes` holds every pair's first-layer node. A value's first
     // occurrence is also its pair's, so numbering values as new pairs
@@ -110,13 +105,16 @@ object PrefixTreeEncoder {
 
     // Phase II: LongestMatchFromTree from each pair, AddNode(match, next
     // pair) where the match stops inside the tuple, then emit the match.
-    // A node's child is its first child or in `children`; a new child
-    // takes the first-child slot if it is free. Every match is ≥ 1 pair
+    // The walk down `n`'s children stops at the child reached by `pair`,
+    // or at the tail, where the new node goes. Every match is ≥ 1 pair
     // long because phase I seeded every pair, so the codes overwrite
-    // `pairNodes` behind the pairs still to be read.
-    val children = tables.children
+    // `pairNodes` behind the pairs still to be read. `nextNode` stays
+    // below the arrays' length, so a new node's slots exist.
     var nextNode = firstLayer.size + 1
-    var firstChild = tables.firstChildFor(nextNode)
+    tables.hold(nextNode + 1)
+    var firstChild = tables.firstChild
+    var sibling = tables.sibling
+    java.util.Arrays.fill(firstChild, 1, nextNode, 0L)
     val rowStarts = new Array[Int](b.length)
     var numTokens = 0
     var j = 0
@@ -130,22 +128,29 @@ object PrefixTreeEncoder {
         var matching = true
         while (matching && j < to) {
           val pair = pairNodes(j)
-          val first = firstChild(n)
-          if (first == 0) { firstChild(n) = key(pair, nextNode); nextNode += 1; matching = false }
-          else if ((first >>> 32).toInt == pair) { n = first.toInt; j += 1 }
+          var link = firstChild(n)
+          var last = 0 // the child whose sibling slot holds `link`, 0 while it is `n`'s first
+          while (link != 0 && (link >>> 32).toInt != pair) { last = link.toInt; link = sibling(last) }
+          if (link != 0) { n = link.toInt; j += 1 }
           else {
-            val child = children.putIfAbsent(key(n, pair), nextNode)
-            if (child != 0) { n = child; j += 1 }
-            else { nextNode += 1; matching = false }
+            if (last == 0) firstChild(n) = key(pair, nextNode) else sibling(last) = key(pair, nextNode)
+            firstChild(nextNode) = 0L
+            sibling(nextNode) = 0L
+            nextNode += 1
+            matching = false
           }
         }
-        if (nextNode > firstChild.length) firstChild = tables.firstChildFor(nextNode)
+        if (nextNode == firstChild.length) {
+          tables.hold(nextNode + 1)
+          firstChild = tables.firstChild
+          sibling = tables.sibling
+        }
         pairNodes(numTokens) = n
         numTokens += 1
       }
       r += 1
     }
-    tables.nodes = nextNode
+    tables.clear()
     LogicalEncoded(FirstLayer(iCols.result(), iValIdx.result(), values.dict),
       java.util.Arrays.copyOf(pairNodes, numTokens), rowStarts)
   }

@@ -5,17 +5,17 @@ package repro.core
   * their raw bits, so `-0.0` stays apart from `0.0` and a NaN decodes to
   * the same bits.
   *
-  * `ids` (index + 1 per value's bits) must start empty; Algorithm 1 passes
-  * a cleared table it reuses across batches.
+  * `ids` (index + 1 per value's bits, under column 0) must start empty;
+  * Algorithm 1 passes a cleared table it reuses across batches.
   */
-final class ValueIndex(ids: LongIntTable) {
-  def this() = this(new LongIntTable)
+final class ValueIndex(ids: PairTable) {
+  def this() = this(new PairTable)
 
   private val values = Array.newBuilder[Double]
 
   /** The index of `v`, the next free one if `v` is new. */
   def apply(v: Double): Int = {
-    val id = ids.putIfAbsent(java.lang.Double.doubleToRawLongBits(v), ids.size + 1)
+    val id = ids.putIfAbsent(0, java.lang.Double.doubleToRawLongBits(v), ids.size + 1)
     if (id > 0) id - 1 else { values += v; ids.size - 1 }
   }
 

@@ -5,7 +5,12 @@ import java.nio.{ByteBuffer, ByteOrder}
 
 class BitPackingSpec extends AnyFunSuite {
 
-  def pack(values: Array[Int]): Array[Byte] = new ByteWriter(BitPacking.packedSize(values)).packed(values).result
+  def size(values: Array[Int]): Int = BitPacking.packedSize(values.length, BitPacking.width(values))
+
+  def pack(values: Array[Int]): Array[Byte] = {
+    val w = BitPacking.width(values)
+    new ByteWriter(BitPacking.packedSize(values.length, w)).packed(values, w).result
+  }
 
   def unpack(bytes: Array[Byte]): Array[Int] = {
     val r = new ByteReader(bytes)
@@ -40,12 +45,9 @@ class BitPackingSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](pack(Array(3, -2, 1)))
   }
 
-  test("ByteWriter.packed and packedSize reject a negative value below a non-negative maximum") {
+  test("BitPacking.width rejects a negative value below a non-negative maximum") {
     for (a <- Seq(Array(3, -2, 1), Array(Int.MinValue, 0), Array(-1)))
-      withClue(a.toSeq) {
-        intercept[IllegalArgumentException](BitPacking.packedSize(a))
-        intercept[IllegalArgumentException](new ByteWriter(5 + 4 * a.length).packed(a))
-      }
+      withClue(a.toSeq)(intercept[IllegalArgumentException](BitPacking.width(a)))
   }
 
   test("empty array round-trips with a 5-byte header") {
@@ -56,15 +58,15 @@ class BitPackingSpec extends AnyFunSuite {
 
   test("packed size matches the paper's formula") {
     // ceil(log2(max+1)/8) bytes per int + 5-byte header
-    assert(BitPacking.packedSize(Array(0, 255)) == 5 + 2 * 1)
-    assert(BitPacking.packedSize(Array(256)) == 5 + 2)
-    assert(BitPacking.packedSize(Array(70000, 3)) == 5 + 2 * 3)
-    assert(BitPacking.packedSize(Array(1 << 25)) == 5 + 4)
+    assert(size(Array(0, 255)) == 5 + 2 * 1)
+    assert(size(Array(256)) == 5 + 2)
+    assert(size(Array(70000, 3)) == 5 + 2 * 3)
+    assert(size(Array(1 << 25)) == 5 + 4)
   }
 
   test("pack produces exactly packedSize bytes") {
     for (arr <- Seq(Array(1, 2, 3), Array(300, 4), Array(1 << 20), Array.fill(100)(7)))
-      assert(pack(arr).length == BitPacking.packedSize(arr))
+      assert(pack(arr).length == size(arr))
   }
 
   test("round-trip at each width boundary") {
@@ -87,7 +89,7 @@ class BitPackingSpec extends AnyFunSuite {
   test("multiple arrays packed into one buffer unpack in sequence") {
     val a = Array(1, 2, 3)
     val b = Array(70000, 5)
-    val bytes = new ByteWriter(BitPacking.packedSize(a) + BitPacking.packedSize(b)).packed(a).packed(b).result
+    val bytes = new ByteWriter(size(a) + size(b)).packed(a, BitPacking.width(a)).packed(b, BitPacking.width(b)).result
     val r = new ByteReader(bytes)
     assert(r.packed().toSeq == a.toSeq)
     assert(r.packed().toSeq == b.toSeq)

@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
+import org.scalatest.Outcome
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TocViews._
 import scala.collection.mutable
@@ -18,6 +19,17 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
   lazy val encoded = PrefixTreeEncoder.encode(sparse(tableB))
   // C' rebuilds Algorithm 1's final tree: same node numbers, keys and parents.
   lazy val tree = TocViews.tree(encoded)
+
+  /** Every test here encodes on reused tables, the JVM's spare set or a
+    * set a property makes, where a walk or probe on tables that never
+    * empty would loop forever. So each runs under a [[TimeLimit]].
+    */
+  override def withFixture(test: NoArgTest): Outcome = TimeLimit.within()(super.withFixture(test))
+
+  def check(prop: Prop, minSuccessful: Int): Unit = {
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(minSuccessful).withInitialSeed(2019L), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
 
   test("Table 2 phase I: tree initialized with the 5 unique pairs, in order") {
     assert(encoded.i.pairs.toSeq == Seq(
@@ -137,41 +149,41 @@ class PrefixTreeEncoderSpec extends AnyFunSuite {
       val i = PrefixTreeEncoder.encode(sparse(b)).i
       i.cols.toSeq == firstLayer.values.map(_.col).toSeq && i.valIdx.toSeq == valIdx.toSeq && bits(i.dict) == bits(dict)
     }
-    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(2019L), prop)
-    assert(result.passed, Pretty.pretty(result))
+    check(prop, 300)
   }
 
   test("Algorithm 1 gives the same I, dict, tokens and rowStarts as a naive §3.1 reference (ScalaCheck)") {
     import PrefixTreeEncoderSpec._
-    val prop = Prop.forAllNoShrink(largeTables)(matchesReference)
-    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(2019L), prop)
-    assert(result.passed, Pretty.pretty(result))
+    check(Prop.forAllNoShrink(largeTables)(matchesReference(_)), 200)
+  }
+
+  /** Encodes each of 4 tables, ordered by `order`, in turn on one set of
+    * tables that each case makes itself, and checks every encode against
+    * the reference.
+    */
+  def onReusedTables(order: Array[Array[ColValue]] => Int): Unit = {
+    import PrefixTreeEncoderSpec._
+    val sequences = Gen.listOfN(4, largeTables).map(_.sortBy(order))
+    val prop = Prop.forAllNoShrink(sequences) { bs =>
+      val tables = new PrefixTreeEncoder.Tables
+      bs.zipWithIndex.map { case (b, k) =>
+        matchesReference(b, PrefixTreeEncoder.encode(_, tables)) :| s"table $k"
+      }.reduce(_ && _)
+    }
+    check(prop, 50)
   }
 
   test("encoding a large table, then smaller ones, on the reused tables matches the reference every time (ScalaCheck)") {
-    import PrefixTreeEncoderSpec._
     // Largest first, so each later table is encoded on slots the first one
     // grew and filled.
-    val sequences = Gen.listOfN(4, largeTables).map(_.sortBy(b => -b.map(_.length).sum))
-    val prop = Prop.forAllNoShrink(sequences) { bs =>
-      bs.zipWithIndex.map { case (b, k) => matchesReference(b) :| s"table $k" }.reduce(_ && _)
-    }
-    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(2019L), prop)
-    assert(result.passed, Pretty.pretty(result))
+    onReusedTables(b => -b.map(_.length).sum)
   }
 
   test("encoding small tables, then larger ones, on the reused tables matches the reference every time (ScalaCheck)") {
-    import PrefixTreeEncoderSpec._
-    // Smallest first, so each table creates more nodes than the one before
-    // it: on a reused set no earlier call has grown past these tables (a
-    // fresh JVM, or a set made while another call held the spare), the
-    // first-child array grows between calls and within them.
-    val sequences = Gen.listOfN(4, largeTables).map(_.sortBy(b => b.map(_.length).sum))
-    val prop = Prop.forAllNoShrink(sequences) { bs =>
-      bs.zipWithIndex.map { case (b, k) => matchesReference(b) :| s"table $k" }.reduce(_ && _)
-    }
-    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(2019L), prop)
-    assert(result.passed, Pretty.pretty(result))
+    // Smallest first, from new tables of 16 slots, so the first call grows
+    // them, and each later call creates more nodes than the one before it
+    // and grows them again.
+    onReusedTables(b => b.map(_.length).sum)
   }
 }
 
@@ -207,14 +219,15 @@ object PrefixTreeEncoderSpec {
     (i, d)
   }
 
-  /** `PrefixTreeEncoder.encode` on `b` gives [[reference]]'s `I` and `D`,
-    * and the dictionary of `b`'s distinct values in first-occurrence order.
+  /** `encode` on `b` gives [[reference]]'s `I` and `D`, and the
+    * dictionary of `b`'s distinct values in first-occurrence order.
     */
-  def matchesReference(b: Array[Array[ColValue]]): Prop = {
+  def matchesReference(b: Array[Array[ColValue]],
+                       encode: Array[SparseRow] => LogicalEncoded = PrefixTreeEncoder.encode(_)): Prop = {
     def bits(a: Seq[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits)
     val (i, d) = reference(b)
     val dict = bits(b.toSeq.flatten.map(_.value)).distinct
-    val enc = PrefixTreeEncoder.encode(sparse(b))
+    val enc = encode(sparse(b))
     (enc.i.cols.toSeq == i.map(_.col)) :| "I's columns" &&
     (bits(enc.i.dict.toSeq) == dict) :| "dict" &&
     (enc.i.valIdx.toSeq == i.map(cv => dict.indexOf(key(cv)._2))) :| "I's value indexes" &&
